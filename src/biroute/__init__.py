@@ -37,16 +37,13 @@ from .pareto import (
     SearchStats,
     apex,
     approx_dominates,
-    extend,
     is_bounded,
-    merge,
     pareto_filter,
     strictly_dominates,
-    trivial_pair,
     weakly_dominates,
 )
 from .boa import boa_search
-from .ppa import OpenQueue, insert_pair, merge_into_solutions, pair_is_dominated, ppa_search
+from .ppa import ppa_search
 from .oracle import (
     ApproxCheckReport,
     FrontierSet,
@@ -85,18 +82,11 @@ __all__ = [
     "SearchStats",
     "apex",
     "approx_dominates",
-    "extend",
     "is_bounded",
-    "merge",
     "pareto_filter",
     "strictly_dominates",
-    "trivial_pair",
     "weakly_dominates",
     "boa_search",
-    "OpenQueue",
-    "insert_pair",
-    "merge_into_solutions",
-    "pair_is_dominated",
     "ppa_search",
     "ApproxCheckReport",
     "FrontierSet",

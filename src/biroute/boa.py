@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 
 from .graph import BiGraph, CostVec
-from .heuristics import UNREACHABLE, HeuristicTable
+from .heuristics import UNREACHABLE, HeuristicTable, validate_query
 from .pareto import (
     EXACT,
     ApproxFactor,
@@ -44,7 +44,7 @@ def boa_search(
     returned in discovery order, ascending in c1 and strictly descending
     in c2. An unreachable goal yields an empty result.
     """
-    _validate(g, h, start, goal)
+    validate_query(g, h, start, goal)
     arena = PathArena()
     stats = SearchStats()
     result = SearchResult(arena=arena, solutions=[], stats=stats)
@@ -96,12 +96,3 @@ def boa_search(
             stats.n_generated += 1
     return result
 
-
-def _validate(g: BiGraph, h: HeuristicTable, start: int, goal: int) -> None:
-    n = g.vertex_count
-    if not (0 <= start < n and 0 <= goal < n):
-        raise ValueError(f"endpoints ({start}, {goal}) outside [0, {n})")
-    if h.goal != goal:
-        raise ValueError(f"heuristic table was built for goal {h.goal}, not {goal}")
-    if len(h.h1) != n or len(h.h2) != n:
-        raise ValueError("heuristic table size does not match the graph")

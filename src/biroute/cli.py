@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bench import bench_run, render_csv, solve_query, verify_run
@@ -36,6 +37,8 @@ def _eps_value(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"approximation factors must be finite: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError("approximation factors must be nonnegative")
     return round(value, 6)

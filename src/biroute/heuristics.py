@@ -38,6 +38,17 @@ class HeuristicTable:
         return self.h1[v] != UNREACHABLE
 
 
+def validate_query(g: BiGraph, h: HeuristicTable, start: int, goal: int) -> None:
+    """Raise ValueError unless ``start``/``goal`` lie in ``g`` and ``h`` fits both."""
+    n = g.vertex_count
+    if not (0 <= start < n and 0 <= goal < n):
+        raise ValueError(f"endpoints ({start}, {goal}) outside [0, {n})")
+    if h.goal != goal:
+        raise ValueError(f"heuristic table was built for goal {h.goal}, not {goal}")
+    if len(h.h1) != n or len(h.h2) != n:
+        raise ValueError("heuristic table size does not match the graph")
+
+
 def _backward_dijkstra(g: BiGraph, goal: int, component: int) -> list[int | float]:
     dist: list[int | float] = [UNREACHABLE] * g.vertex_count
     dist[goal] = 0

@@ -9,20 +9,23 @@ dominates ``y`` componentwise when ``x <= (1 + eps) * y``, evaluated as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .graph import CostVec, Edge
+from .graph import CostVec
 
 
 @dataclass(frozen=True)
 class ApproxFactor:
-    """Per-criterion relative slack (eps1, eps2), both nonnegative."""
+    """Per-criterion relative slack (eps1, eps2), both finite and nonnegative."""
 
     eps1: float = 0.0
     eps2: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.eps1) and math.isfinite(self.eps2)):
+            raise ValueError(f"approximation factors must be finite: {self}")
         if self.eps1 < 0 or self.eps2 < 0:
             raise ValueError(f"approximation factors must be nonnegative: {self}")
 
@@ -95,8 +98,9 @@ class PathPair(NamedTuple):
 
     ``tl`` (top-left) has the smaller first cost and larger second cost,
     ``br`` (bottom-right) the opposite; the two may be the same path. Costs
-    are cached in the tuple so ordering and dominance tests skip arena
-    lookups. ``tl`` and ``br`` are arena indices.
+    are cached in the tuple so dominance tests skip arena lookups. ``tl``
+    and ``br`` are arena indices. The path-pair engine returns its
+    solution pairs in this form; inside its loop a pair is a flat record.
     """
 
     vertex: int
@@ -104,12 +108,6 @@ class PathPair(NamedTuple):
     br: int
     tl_cost: CostVec
     br_cost: CostVec
-
-
-def trivial_pair(arena: PathArena, vertex: int) -> PathPair:
-    """The single-path pair that starts a search at ``vertex``."""
-    idx = arena.add(vertex, CostVec(0, 0), None)
-    return PathPair(vertex, idx, idx, CostVec(0, 0), CostVec(0, 0))
 
 
 def apex(pp: PathPair) -> CostVec:
@@ -130,42 +128,6 @@ def is_bounded(pp: PathPair, eps: ApproxFactor) -> bool:
         pp.br_cost.c1 <= c1_tl + eps.eps1 * c1_tl
         and pp.tl_cost.c2 <= c2_br + eps.eps2 * c2_br
     )
-
-
-def extend(pp: PathPair, edge: Edge, arena: PathArena) -> PathPair:
-    """Advance both paths of ``pp`` over ``edge``, appending to the arena."""
-    target, cost = edge
-    tl_cost = pp.tl_cost + cost
-    new_tl = arena.add(target, tl_cost, pp.tl)
-    if pp.br == pp.tl:
-        return PathPair(target, new_tl, new_tl, tl_cost, tl_cost)
-    br_cost = pp.br_cost + cost
-    new_br = arena.add(target, br_cost, pp.br)
-    return PathPair(target, new_tl, new_br, tl_cost, br_cost)
-
-
-def merge(pp: PathPair, qq: PathPair) -> PathPair:
-    """Combine two same-vertex pairs into one spanning both.
-
-    The result keeps whichever tl has the smaller first cost and whichever
-    br has the smaller second cost, ties favoring ``pp``. The merged apex
-    is the componentwise minimum of the two input apexes.
-    """
-    if pp.vertex != qq.vertex:
-        raise ValueError(f"cannot merge pairs at vertices {pp.vertex} and {qq.vertex}")
-    if pp.tl_cost.c1 <= qq.tl_cost.c1:
-        tl, tl_cost = pp.tl, pp.tl_cost
-    else:
-        tl, tl_cost = qq.tl, qq.tl_cost
-    if pp.br_cost.c2 <= qq.br_cost.c2:
-        br, br_cost = pp.br, pp.br_cost
-    else:
-        br, br_cost = qq.br, qq.br_cost
-    merged = PathPair(pp.vertex, tl, br, tl_cost, br_cost)
-    assert apex(merged) == CostVec(
-        min(pp.tl_cost.c1, qq.tl_cost.c1), min(pp.br_cost.c2, qq.br_cost.c2)
-    )
-    return merged
 
 
 def pareto_filter(costs: Iterable[CostVec]) -> list[CostVec]:

@@ -17,6 +17,14 @@ the pair: a pair is dropped when f2 of its bottom-right path, relaxed by
 (1 + eps2), cannot beat the smallest second-cost expanded at the goal, or
 when that path's g2 is no better than the record at the pair's vertex.
 
+Inside the search loop a pair is one flat list record (layout below) that
+sits directly in the heap and in its vertex bucket. A child's corner costs
+are computed as plain ints and pruned before anything is allocated; only
+surviving children append their paths to the arena (one record when both
+corners are the same path, two otherwise). Buckets and the goal's solution
+list are insertion-ordered dicts keyed by seq, scanned first-fit by
+``_first_fit``. ``PathPair`` tuples are built once, for the result.
+
 Projection to returned paths: each stored solution pair contributes its
 bottom-right path. The bottom-right cost is within the slack of every
 cost its pair brackets, and pruning is justified against bottom-right
@@ -31,11 +39,11 @@ member never weakens coverage.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterator
+from collections import defaultdict
+from heapq import heappop, heappush
 
-from .graph import BiGraph
-from .heuristics import UNREACHABLE, HeuristicTable
+from .graph import BiGraph, CostVec
+from .heuristics import UNREACHABLE, HeuristicTable, validate_query
 from .pareto import (
     EXACT,
     ApproxFactor,
@@ -43,137 +51,73 @@ from .pareto import (
     PathPair,
     SearchResult,
     SearchStats,
-    extend,
-    is_bounded,
-    merge,
     pareto_filter,
-    trivial_pair,
 )
 
 _INF = float("inf")
 
-
-class _Entry:
-    """One OPEN slot; ``live`` flips off on extraction or merge removal."""
-
-    __slots__ = ("pair", "f1", "f2", "seq", "live")
-
-    def __init__(self, pair: PathPair, f1: int, f2: int, seq: int):
-        self.pair = pair
-        self.f1 = f1
-        self.f2 = f2
-        self.seq = seq
-        self.live = True
+# A pair record is the list
+#   [f1, f2, seq, vertex, tl, br, tl1, tl2, br1, br2, live]
+# with apex f-values first so the heap orders records by (f1, f2, seq);
+# seq is unique, so comparison never reaches the later fields. tl and br
+# are arena indices, (tl1, tl2) and (br1, br2) their costs. ``live`` turns
+# False when a merge absorbs the record while it waits in the heap.
 
 
-class OpenQueue:
-    """Lazy-deletion heap of path pairs keyed by apex f, lexicographic.
+def _first_fit(slots, tl1, tl2, br1, br2, e1, e2):
+    """The first record in ``slots`` whose merge with corners (tl, br) is bounded.
 
-    Alongside the heap, live entries are indexed by vertex so merge
-    candidates are found by scanning one bucket in insertion order rather
-    than the whole queue; merging is defined only between same-vertex
-    pairs, so the restriction loses nothing. Removal just clears the live
-    flag and the bucket slot; the heap forgets the entry when popped.
+    The merge keeps the smaller-c1 top-left and the smaller-c2
+    bottom-right, the resident's on ties, and counts as bounded exactly
+    when ``is_bounded`` would say so of the merged pair. Returns None when
+    no resident fits. By which side supplies each merged corner:
+
+    - the resident both: the merge is the resident, bounded when stored;
+    - the newcomer both: the merge is the newcomer, bounded likewise;
+    - resident tl, newcomer br: br1 <= r.tl1 + e1*r.tl1 and
+      r.tl2 <= br2 + e2*br2;
+    - newcomer tl, resident br: r.br1 <= tl1 + e1*tl1 and
+      tl2 <= r.br2 + e2*r.br2.
+
+    The newcomer's sides of the last two tests are computed once, so most
+    residents are rejected by one or two int comparisons.
     """
-
-    def __init__(self, h: HeuristicTable):
-        self._h1 = h.h1
-        self._h2 = h.h2
-        self._heap: list[tuple[int, int, int, _Entry]] = []
-        self._buckets: dict[int, dict[int, _Entry]] = {}
-        self._seq = 0
-        self.n_live = 0
-
-    def __len__(self) -> int:
-        return self.n_live
-
-    def push(self, pair: PathPair) -> _Entry:
-        v = pair.vertex
-        f1 = pair.tl_cost.c1 + self._h1[v]
-        f2 = pair.br_cost.c2 + self._h2[v]
-        entry = _Entry(pair, f1, f2, self._seq)
-        self._seq += 1
-        heapq.heappush(self._heap, (f1, f2, entry.seq, entry))
-        self._buckets.setdefault(v, {})[entry.seq] = entry
-        self.n_live += 1
-        return entry
-
-    def pop(self) -> _Entry | None:
-        """Extract the lexicographically smallest live entry, if any."""
-        while self._heap:
-            _, _, _, entry = heapq.heappop(self._heap)
-            if entry.live:
-                self.remove(entry)
-                return entry
-        return None
-
-    def remove(self, entry: _Entry) -> None:
-        entry.live = False
-        bucket = self._buckets.get(entry.pair.vertex)
-        if bucket is not None:
-            bucket.pop(entry.seq, None)
-        self.n_live -= 1
-
-    def bucket(self, vertex: int) -> Iterator[_Entry]:
-        """Live entries at ``vertex`` in insertion order."""
-        return iter(tuple(self._buckets.get(vertex, {}).values()))
+    cap1 = tl1 + e1 * tl1
+    cap2 = br2 + e2 * br2
+    for r in slots:
+        if r[6] <= tl1:
+            if r[9] <= br2 or (r[7] <= cap2 and br1 <= r[6] + e1 * r[6]):
+                return r
+        elif r[9] > br2 or (r[8] <= cap1 and tl2 <= r[9] + e2 * r[9]):
+            return r
+    return None
 
 
-def pair_is_dominated(
-    pair: PathPair,
-    g2min: list,
-    goal: int,
-    h2: list,
-    eps: ApproxFactor,
-) -> bool:
-    """The pruning test applied at both generation and extraction.
+def _place(slots: dict, rec: list, e1: float, e2: float) -> bool:
+    """Append ``rec`` to ``slots``, first absorbing the first resident it fits.
 
-    True when the bottom-right path's f2, relaxed by (1 + eps2), is no
-    better than the smallest second-cost already expanded at the goal, or
-    when its g2 is no better than the record at the pair's own vertex.
+    The absorbed resident leaves ``slots`` and is marked dead; ``rec``
+    takes over the merged corners, its f-values moving with them, and so
+    lands at the end of ``slots`` under its own seq. At most one merge
+    happens per call. Returns whether one did.
     """
-    f2 = pair.br_cost.c2 + h2[pair.vertex]
-    if f2 + eps.eps2 * f2 >= g2min[goal]:
-        return True
-    return pair.br_cost.c2 >= g2min[pair.vertex]
-
-
-def insert_pair(
-    queue: OpenQueue, pair: PathPair, eps: ApproxFactor, stats: SearchStats
-) -> None:
-    """Queue ``pair``, first-fit merging into its vertex bucket.
-
-    The bucket is scanned in insertion order; the first existing pair
-    whose merge with ``pair`` stays within the slack is replaced by that
-    merged pair (re-keyed by its apex) and the scan stops. Otherwise
-    ``pair`` is queued as-is. At most one merge happens per insertion.
-    """
+    _, _, _, _, _, _, tl1, tl2, br1, br2, _ = rec
     if __debug__:
-        assert is_bounded(pair, eps), "attempted to queue an out-of-slack pair"
-    for entry in queue.bucket(pair.vertex):
-        merged = merge(entry.pair, pair)
-        if is_bounded(merged, eps):
-            queue.remove(entry)
-            queue.push(merged)
-            stats.n_merges += 1
-            return
-    queue.push(pair)
-
-
-def merge_into_solutions(
-    solutions: list[PathPair], pair: PathPair, eps: ApproxFactor, stats: SearchStats
-) -> None:
-    """Add a goal pair to the solution set, first-fit merging like OPEN."""
-    if __debug__:
-        assert is_bounded(pair, eps), "attempted to store an out-of-slack solution"
-    for i, existing in enumerate(solutions):
-        merged = merge(existing, pair)
-        if is_bounded(merged, eps):
-            solutions.pop(i)
-            solutions.append(merged)
-            stats.n_merges += 1
-            return
-    solutions.append(pair)
+        assert br1 <= tl1 + e1 * tl1 and tl2 <= br2 + e2 * br2, (
+            "attempted to store an out-of-slack pair"
+        )
+    r = _first_fit(slots.values(), tl1, tl2, br1, br2, e1, e2) if slots else None
+    if r is not None:
+        r[10] = False
+        del slots[r[2]]
+        if r[6] <= tl1:
+            rec[0] -= tl1 - r[6]
+            rec[4], rec[6], rec[7] = r[4], r[6], r[7]
+        if r[9] <= br2:
+            rec[1] -= br2 - r[9]
+            rec[5], rec[8], rec[9] = r[5], r[8], r[9]
+    slots[rec[2]] = rec
+    return r is not None
 
 
 def ppa_search(
@@ -190,67 +134,82 @@ def ppa_search(
     the projected paths described in the module docstring. With zero slack
     the returned costs are exactly the Pareto-optimal ones.
     """
-    _validate(g, h, start, goal)
+    validate_query(g, h, start, goal)
     arena = PathArena()
     stats = SearchStats()
     result = SearchResult(arena=arena, solutions=[], stats=stats)
     h1, h2 = h.h1, h.h2
     if h1[start] == UNREACHABLE:
         return result
+    e1, e2 = eps.eps1, eps.eps2
     edges = g.edges
+    add = arena.add
     g2min: list = [_INF] * g.vertex_count
-    queue = OpenQueue(h)
-    queue.push(trivial_pair(arena, start))
-    stats.n_generated = 1
-    solution_pairs: list[PathPair] = []
+    buckets: defaultdict[int, dict[int, list]] = defaultdict(dict)
+    solutions: dict[int, list] = {}
+
+    root = add(start, CostVec(0, 0), None)
+    rec = [h1[start], h2[start], 0, start, root, root, 0, 0, 0, 0, True]
+    buckets[start][0] = rec
+    heap = [rec]
+    seq = 1
+    n_expanded = n_merges = 0
     if __debug__:
         last_f1 = 0
         last_f2_at: dict[int, int] = {}
 
-    while True:
-        entry = queue.pop()
-        if entry is None:
-            break
-        pair = entry.pair
-        if pair_is_dominated(pair, g2min, goal, h2, eps):
+    while heap:
+        rec = heappop(heap)
+        if not rec[10]:
             continue
-        stats.n_expanded += 1
-        u = pair.vertex
+        f1, f2, key, u, tl, br, tl1, tl2, br1, br2, _ = rec
+        del buckets[u][key]
+        if br2 >= g2min[u] or f2 + e2 * f2 >= g2min[goal]:
+            continue
+        n_expanded += 1
         if __debug__:
-            assert entry.f1 >= last_f1, "extraction order broke apex f1 monotonicity"
-            last_f1 = entry.f1
+            assert f1 >= last_f1, "extraction order broke apex f1 monotonicity"
+            last_f1 = f1
             prev_f2 = last_f2_at.get(u)
-            assert prev_f2 is None or entry.f2 < prev_f2, (
+            assert prev_f2 is None or f2 < prev_f2, (
                 "expansions at a vertex broke strict apex f2 descent"
             )
-            last_f2_at[u] = entry.f2
-        g2min[u] = pair.br_cost.c2
+            last_f2_at[u] = f2
+        g2min[u] = br2
         if u == goal:
-            merge_into_solutions(solution_pairs, pair, eps, stats)
+            n_merges += _place(solutions, rec, e1, e2)
             continue
-        for edge in edges[u]:
-            if h1[edge.target] == UNREACHABLE:
+        for target, (c1, c2) in edges[u]:
+            th1 = h1[target]
+            if th1 == UNREACHABLE:
                 continue
-            child = extend(pair, edge, arena)
-            if pair_is_dominated(child, g2min, goal, h2, eps):
+            nbr2 = br2 + c2
+            nf2 = nbr2 + h2[target]
+            if nbr2 >= g2min[target] or nf2 + e2 * nf2 >= g2min[goal]:
                 continue
-            stats.n_generated += 1
-            insert_pair(queue, child, eps, stats)
+            ntl1 = tl1 + c1
+            ntl2 = tl2 + c2
+            ntl = add(target, CostVec(ntl1, ntl2), tl)
+            if tl == br:
+                nbr, nbr1 = ntl, ntl1
+            else:
+                nbr1 = br1 + c1
+                nbr = add(target, CostVec(nbr1, nbr2), br)
+            rec = [ntl1 + th1, nf2, seq, target, ntl, nbr, ntl1, ntl2, nbr1, nbr2, True]
+            seq += 1
+            n_merges += _place(buckets[target], rec, e1, e2)
+            heappush(heap, rec)
 
-    result.pairs = solution_pairs
-    kept_costs = set(pareto_filter(p.br_cost for p in solution_pairs))
-    for p in solution_pairs:
+    stats.n_expanded = n_expanded
+    stats.n_generated = seq  # one seq per generated pair, the root's included
+    stats.n_merges = n_merges
+    result.pairs = [
+        PathPair(goal, r[4], r[5], CostVec(r[6], r[7]), CostVec(r[8], r[9]))
+        for r in solutions.values()
+    ]
+    kept_costs = set(pareto_filter(p.br_cost for p in result.pairs))
+    for p in result.pairs:
         if p.br_cost in kept_costs:
             result.solutions.append(p.br)
             kept_costs.discard(p.br_cost)
     return result
-
-
-def _validate(g: BiGraph, h: HeuristicTable, start: int, goal: int) -> None:
-    n = g.vertex_count
-    if not (0 <= start < n and 0 <= goal < n):
-        raise ValueError(f"endpoints ({start}, {goal}) outside [0, {n})")
-    if h.goal != goal:
-        raise ValueError(f"heuristic table was built for goal {h.goal}, not {goal}")
-    if len(h.h1) != n or len(h.h2) != n:
-        raise ValueError("heuristic table size does not match the graph")

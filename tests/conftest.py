@@ -2,7 +2,7 @@
 
 import pytest
 
-from biroute import BiGraph, bigraph_from_arcs, write_gr_pair
+from biroute import BiGraph, CostVec, bigraph_from_arcs, write_gr_pair
 
 # Four-vertex diamond with a direct long arc.  Vertices: 0=s, 1=a, 2=b, 3=g.
 # Arcs (u, v, c1, c2):
@@ -17,6 +17,23 @@ G1_ARCS = [
     (2, 3, 4, 1),
     (0, 3, 9, 9),
 ]
+
+
+def pair_record(seq, tl_cost, br_cost, h=(0, 0)):
+    """A pair record in the path-pair search loop's flat layout.
+
+    ``h`` is the heuristic pair at the record's vertex (vertex 0). The arena
+    indices are stand-ins: 2*seq for tl, 2*seq + 1 for br, or 2*seq for
+    both when the corners coincide.
+    """
+    (tl1, tl2), (br1, br2) = tl_cost, br_cost
+    br = 2 * seq if tuple(tl_cost) == tuple(br_cost) else 2 * seq + 1
+    return [tl1 + h[0], br2 + h[1], seq, 0, 2 * seq, br, tl1, tl2, br1, br2, True]
+
+
+def record_corners(rec):
+    """The (tl, br) corner costs of a pair record."""
+    return CostVec(rec[6], rec[7]), CostVec(rec[8], rec[9])
 
 
 @pytest.fixture

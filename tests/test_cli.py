@@ -90,6 +90,24 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "eps" in err
 
+    @pytest.mark.parametrize("flag", ["--eps", "--eps1", "--eps2"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "NaN"])
+    def test_non_finite_eps_is_usage_error(self, capsys, g1_files, flag, value):
+        p1, p2 = g1_files
+        code, _, err = run_cli(
+            capsys, "solve", "--gr1", str(p1), "--gr2", str(p2),
+            "--source", "1", "--target", "4", flag, value,
+        )
+        assert code == EXIT_USAGE
+        assert "finite" in err
+
+    def test_non_finite_eps_grid_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--instances", "1", "--eps-grid", "0,inf"
+        )
+        assert code == EXIT_USAGE
+        assert "finite" in err
+
     def test_eps_conflicts_with_split_flags(self, capsys, g1_files):
         p1, p2 = g1_files
         code, _, _ = run_cli(

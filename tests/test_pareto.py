@@ -1,5 +1,7 @@
 """Dominance relations, path pairs, and the frontier filter."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,21 +10,33 @@ from biroute import (
     EXACT,
     ApproxFactor,
     CostVec,
-    Edge,
     PathArena,
     PathPair,
     apex,
     approx_dominates,
-    extend,
+    bigraph_from_arcs,
+    compute_heuristics,
     is_bounded,
-    merge,
     pareto_filter,
+    ppa_search,
     strictly_dominates,
-    trivial_pair,
     weakly_dominates,
 )
+from biroute.ppa import _first_fit, _place
+from conftest import pair_record, record_corners
 
 costs = st.tuples(st.integers(0, 40), st.integers(0, 40)).map(lambda t: CostVec(*t))
+slacks = st.sampled_from([0.0, 0.01, 0.1, 0.25, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def bounded_corners(draw, eps):
+    """A (tl, br) cost pair with tl1 <= br1, br2 <= tl2, bounded at ``eps``."""
+    tl1 = draw(st.integers(0, 12))
+    br2 = draw(st.integers(0, 12))
+    br1 = draw(st.integers(tl1, math.floor(tl1 + eps.eps1 * tl1)))
+    tl2 = draw(st.integers(br2, math.floor(br2 + eps.eps2 * br2)))
+    return CostVec(tl1, tl2), CostVec(br1, br2)
 
 
 class TestDominance:
@@ -58,6 +72,15 @@ class TestDominance:
             ApproxFactor(-0.1, 0)
         assert ApproxFactor.uniform(0.25) == ApproxFactor(0.25, 0.25)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_factor_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ApproxFactor(bad, 0)
+        with pytest.raises(ValueError, match="finite"):
+            ApproxFactor(0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            ApproxFactor.uniform(bad)
+
 
 class TestPathPair:
     def pair(self, tl_cost, br_cost, vertex=0):
@@ -88,71 +111,121 @@ class TestPathPair:
         assert not is_bounded(qq, ApproxFactor(10, 0.2))
 
     def test_extend_adds_edge_cost_to_both(self):
-        pp, arena = self.pair((1, 4), (1, 4))
-        ext = extend(pp, Edge(3, CostVec(1, 4)), arena)
-        assert ext.vertex == 3
-        assert ext.tl_cost == CostVec(2, 8) and ext.br_cost == CostVec(2, 8)
-        # Cost-degenerate input shares a single appended arena node.
-        assert ext.tl == ext.br
-        assert arena.vertex_sequence(ext.tl) == [0, 3]
+        # A cost-degenerate pair extends into a single arena node.
+        g = bigraph_from_arcs(4, [(0, 3, 1, 4)])
+        res = ppa_search(g, compute_heuristics(g, 3), 0, 3)
+        (pp,) = res.pairs
+        assert pp.vertex == 3
+        assert pp.tl_cost == CostVec(1, 4) and pp.br_cost == CostVec(1, 4)
+        assert pp.tl == pp.br
+        assert res.arena.vertex_sequence(pp.tl) == [0, 3]
+        assert len(res.arena) == res.stats.n_generated == 2
 
     def test_extend_divergent_pair(self):
-        pp, arena = self.pair((5, 9), (7, 6))
-        ext = extend(pp, Edge(2, CostVec(1, 1)), arena)
-        assert ext.tl != ext.br
-        assert ext.tl_cost == CostVec(6, 10) and ext.br_cost == CostVec(8, 7)
+        # (4,9) and (6,5) merge at vertex 1 under slack 1; the merged pair
+        # then crosses the (1,1) arc with both paths, one node each.
+        g = bigraph_from_arcs(3, [(0, 1, 4, 9), (0, 1, 6, 5), (1, 2, 1, 1)])
+        res = ppa_search(g, compute_heuristics(g, 2), 0, 2, ApproxFactor(1, 1))
+        (pp,) = res.pairs
+        assert pp.tl != pp.br
+        assert pp.tl_cost == CostVec(5, 10) and pp.br_cost == CostVec(7, 6)
+        assert res.stats.n_generated == 4 and res.stats.n_merges == 1
+        assert len(res.arena) == 5
 
     def test_merge_takes_best_of_each_corner(self):
-        arena = PathArena()
-        a_tl = arena.add(1, CostVec(4, 9), None)
-        a_br = arena.add(1, CostVec(6, 5), None)
-        b_tl = arena.add(1, CostVec(5, 8), None)
-        b_br = arena.add(1, CostVec(7, 4), None)
-        a = PathPair(1, a_tl, a_br, arena[a_tl].g, arena[a_br].g)
-        b = PathPair(1, b_tl, b_br, arena[b_tl].g, arena[b_br].g)
-        m = merge(a, b)
-        assert m.tl == a_tl and m.br == b_br
-        assert apex(m) == CostVec(4, 4)
+        slots = {}
+        a = pair_record(1, (4, 9), (6, 5))
+        b = pair_record(2, (5, 8), (7, 4))
+        a_tl, b_br = a[4], b[5]
+        assert not _place(slots, a, 1.0, 2.0)
+        assert _place(slots, b, 1.0, 2.0)
+        assert list(slots.values()) == [b] and not a[10]
+        assert (b[4], b[5]) == (a_tl, b_br)
+        assert record_corners(b) == (CostVec(4, 9), CostVec(7, 4))
+        # With zero heuristics the f-values are the merged apex.
+        assert b[:2] == [4, 4]
 
     def test_merge_tie_keeps_first_argument(self):
-        arena = PathArena()
-        x = arena.add(0, CostVec(5, 5), None)
-        y = arena.add(0, CostVec(5, 5), None)
-        a = PathPair(0, x, x, arena[x].g, arena[x].g)
-        b = PathPair(0, y, y, arena[y].g, arena[y].g)
-        m = merge(a, b)
-        assert m.tl == x and m.br == x
+        slots = {}
+        a = pair_record(1, (5, 5), (5, 5))
+        b = pair_record(2, (5, 5), (5, 5))
+        _place(slots, a, 0.0, 0.0)
+        assert _place(slots, b, 0.0, 0.0)
+        # The resident's paths win ties; the newcomer keeps only its seq.
+        assert b[4] == b[5] == a[4]
+        assert list(slots) == [2]
 
     def test_merge_vertex_mismatch(self):
-        arena = PathArena()
-        i = arena.add(0, CostVec(1, 1), None)
-        j = arena.add(1, CostVec(1, 1), None)
-        a = PathPair(0, i, i, arena[i].g, arena[i].g)
-        b = PathPair(1, j, j, arena[j].g, arena[j].g)
-        with pytest.raises(ValueError):
-            merge(a, b)
+        # (4,9) and (6,5) merge under slack 1 when they reach the same
+        # vertex, and stay apart when they reach different ones.
+        eps = ApproxFactor(1, 1)
+        same = bigraph_from_arcs(3, [(0, 1, 4, 9), (0, 1, 6, 5), (1, 2, 0, 0)])
+        res = ppa_search(same, compute_heuristics(same, 2), 0, 2, eps)
+        assert res.stats.n_merges == 1
+        apart = bigraph_from_arcs(
+            4, [(0, 1, 4, 9), (0, 2, 6, 5), (1, 3, 0, 0), (2, 3, 0, 0)]
+        )
+        res = ppa_search(apart, compute_heuristics(apart, 3), 0, 3, eps)
+        assert res.stats.n_generated == 4
+        assert res.stats.n_merges == 0
 
     @settings(max_examples=200, deadline=None)
     @given(costs, costs)
     def test_exact_bounded_merge_is_degenerate(self, c, d):
-        # At zero slack a pair is bounded only when tl and br agree,
-        # so any bounded merge of two bounded pairs stays degenerate.
-        arena = PathArena()
-        i = arena.add(0, c, None)
-        j = arena.add(0, d, None)
-        a = PathPair(0, i, i, c, c)
-        b = PathPair(0, j, j, d, d)
-        m = merge(a, b)
-        if is_bounded(m, EXACT):
-            assert m.tl_cost == m.br_cost
+        # At zero slack a pair is bounded only when tl and br agree, so a
+        # merge of two degenerate pairs is either refused or degenerate.
+        slots = {}
+        _place(slots, pair_record(1, c, c), 0.0, 0.0)
+        b = pair_record(2, d, d)
+        if _place(slots, b, 0.0, 0.0):
+            tl_cost, br_cost = record_corners(b)
+            assert tl_cost == br_cost
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data(), slacks, slacks)
+    def test_first_fit_matches_is_bounded_of_the_merge(self, data, e1, e2):
+        eps = ApproxFactor(e1, e2)
+        a_tl, a_br = data.draw(bounded_corners(eps))
+        b_tl, b_br = data.draw(bounded_corners(eps))
+        tl_cost = a_tl if a_tl.c1 <= b_tl.c1 else b_tl
+        br_cost = a_br if a_br.c2 <= b_br.c2 else b_br
+        merge = PathPair(0, 0, 1, tl_cost, br_cost)
+        slots = {1: pair_record(1, a_tl, a_br)}
+        b = pair_record(2, b_tl, b_br)
+        assert _place(slots, b, e1, e2) == is_bounded(merge, eps)
+        if len(slots) == 1:
+            assert record_corners(b) == (tl_cost, br_cost)
+            # The merged apex is the componentwise minimum of the two
+            # apexes, and with zero heuristics it is the record's f-values.
+            assert apex(merge) == (min(a_tl.c1, b_tl.c1), min(a_br.c2, b_br.c2))
+            assert apex(merge) == tuple(b[:2])
+
+    @pytest.mark.parametrize(
+        "resident, newcomer, eps, fits",
+        [
+            # Resident tl, newcomer br: 5 <= 5 + 0*5 and 6 <= 4 + 0.5*4.
+            (((5, 6), (5, 5)), ((5, 4), (5, 4)), (0.0, 0.5), True),
+            (((5, 7), (5, 5)), ((5, 4), (5, 4)), (0.0, 0.5), False),
+            # Newcomer tl, resident br: 10 <= 5 + 1*5 and 8 <= 4 + 1*4.
+            (((10, 4), (10, 4)), ((5, 8), (5, 8)), (1.0, 1.0), True),
+            (((11, 4), (11, 4)), ((5, 8), (5, 8)), (1.0, 1.0), False),
+        ],
+        ids=["resident-tl-at", "resident-tl-past", "newcomer-tl-at", "newcomer-tl-past"],
+    )
+    def test_first_fit_boundary_is_inclusive(self, resident, newcomer, eps, fits):
+        r = pair_record(1, *resident)
+        (tl1, tl2), (br1, br2) = newcomer
+        assert (_first_fit([r], tl1, tl2, br1, br2, *eps) is r) == fits
 
     def test_trivial_pair(self):
-        arena = PathArena()
-        pp = trivial_pair(arena, 7)
+        # A search that starts at its goal stores the start's one-path pair.
+        g = bigraph_from_arcs(8, [(7, 0, 1, 1)])
+        res = ppa_search(g, compute_heuristics(g, 7), 7, 7)
+        (pp,) = res.pairs
         assert pp.vertex == 7
         assert pp.tl == pp.br
         assert pp.tl_cost == CostVec(0, 0)
-        assert arena.vertex_sequence(pp.tl) == [7]
+        assert res.arena.vertex_sequence(pp.tl) == [7]
 
 
 class TestParetoFilter:

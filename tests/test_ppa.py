@@ -1,5 +1,7 @@
 """Path-pair search: queue mechanics, merging, and output soundness."""
 
+import hashlib
+import heapq
 import random
 
 import pytest
@@ -8,31 +10,18 @@ from biroute import (
     EXACT,
     ApproxFactor,
     CostVec,
-    OpenQueue,
-    PathArena,
-    PathPair,
-    SearchStats,
-    UNREACHABLE,
     approx_dominates,
     bigraph_from_arcs,
     boa_search,
     check_approx_frontier,
     compute_heuristics,
     exact_frontier,
-    insert_pair,
-    merge_into_solutions,
-    pair_is_dominated,
     ppa_search,
     random_instance,
-    weakly_dominates,
 )
 from biroute.oracle import FrontierSet
-
-
-def make_pair(arena, vertex, tl_cost, br_cost):
-    tl = arena.add(vertex, CostVec(*tl_cost), None)
-    br = tl if tl_cost == br_cost else arena.add(vertex, CostVec(*br_cost), None)
-    return PathPair(vertex, tl, br, arena[tl].g, arena[br].g)
+from biroute.ppa import _first_fit, _place
+from conftest import pair_record, record_corners
 
 
 def h_for(g, goal):
@@ -72,114 +61,154 @@ class TestHandGraph:
 
 class TestPruning:
     def test_goal_bound_respects_slack(self):
-        g = bigraph_from_arcs(4, [(0, 3, 2, 8)])
-        h = h_for(g, 3)
-        arena = PathArena()
-        pp = make_pair(arena, 3, (8, 2), (8, 2))
-        g2min = [UNREACHABLE] * 4
-        g2min[3] = 8
-        # f2 = 2; with slack 3 the relaxed bound (1+3)*2 = 8 >= 8 prunes it.
-        assert pair_is_dominated(pp, g2min, 3, h.h2, ApproxFactor(3, 3))
-        assert not pair_is_dominated(pp, g2min, 3, h.h2, EXACT)
+        # Parallel arcs (2,8) and (8,2). With eps1 = 0 they never merge;
+        # once (2,8) reaches the goal, (8,2) has f2 = 2, and slack 3 on the
+        # second cost relaxes that to 8 >= 8, so it is pruned.
+        g = bigraph_from_arcs(2, [(0, 1, 2, 8), (0, 1, 8, 2)])
+        h = h_for(g, 1)
+        relaxed = ppa_search(g, h, 0, 1, ApproxFactor(0, 3))
+        assert relaxed.solution_costs() == [CostVec(2, 8)]
+        assert relaxed.stats.n_expanded == 2
+        exact = ppa_search(g, h, 0, 1, EXACT)
+        assert exact.solution_costs() == [CostVec(2, 8), CostVec(8, 2)]
+        assert exact.stats.n_expanded == 3
 
     def test_no_bounds_means_no_pruning(self):
-        g = bigraph_from_arcs(4, [(0, 3, 2, 8)])
-        h = h_for(g, 3)
-        arena = PathArena()
-        pp = make_pair(arena, 0, (1, 1), (1, 1))
-        g2min = [UNREACHABLE] * 4
-        assert not pair_is_dominated(pp, g2min, 3, h.h2, EXACT)
+        # Along a chain nothing is ever recorded ahead of a pair, so every
+        # generated pair is expanded.
+        g = bigraph_from_arcs(4, [(0, 1, 1, 1), (1, 2, 1, 1), (2, 3, 2, 8)])
+        res = ppa_search(g, h_for(g, 3), 0, 3)
+        assert res.stats.n_expanded == res.stats.n_generated == 4
 
     def test_per_vertex_bound_is_non_strict(self):
-        g = bigraph_from_arcs(4, [(0, 3, 2, 8)])
-        h = h_for(g, 3)
-        arena = PathArena()
-        pp = make_pair(arena, 0, (3, 5), (3, 5))
-        g2min = [UNREACHABLE] * 4
-        g2min[0] = 5
-        assert pair_is_dominated(pp, g2min, 3, h.h2, EXACT)
-        g2min[0] = 6
-        assert not pair_is_dominated(pp, g2min, 3, h.h2, EXACT)
+        # With a detour 0->2->1 of c2 = 1 + 4, vertex 1 is expanded at
+        # g2 = 5 before the detour's child reaches it at g2 = 5, which is
+        # pruned. A detour of c2 = 1 + 3 arrives at g2 = 4 and is kept.
+        def run(detour_c2):
+            g = bigraph_from_arcs(
+                4, [(0, 1, 3, 5), (0, 2, 1, 1), (2, 1, 2, detour_c2), (1, 3, 1, 1)]
+            )
+            return ppa_search(g, h_for(g, 3), 0, 3).stats
+
+        equal = run(4)
+        assert (equal.n_expanded, equal.n_generated) == (4, 4)
+        better = run(3)
+        assert better.n_generated > 4
 
 
 class TestQueueAndMerging:
     def test_insert_into_empty_bucket(self):
-        g = bigraph_from_arcs(2, [(0, 1, 1, 1)])
-        q = OpenQueue(h_for(g, 1))
-        arena = PathArena()
-        stats = SearchStats()
-        insert_pair(q, make_pair(arena, 0, (2, 2), (2, 2)), EXACT, stats)
-        assert len(q) == 1
-        assert stats.n_merges == 0
+        slots = {}
+        rec = pair_record(1, (2, 2), (2, 2))
+        assert not _place(slots, rec, 0.0, 0.0)
+        assert list(slots.values()) == [rec]
 
     def test_mergeable_insert_keeps_bucket_size(self):
-        g = bigraph_from_arcs(2, [(0, 1, 1, 1)])
-        q = OpenQueue(h_for(g, 1))
-        arena = PathArena()
-        stats = SearchStats()
-        insert_pair(q, make_pair(arena, 0, (4, 9), (4, 9)), ApproxFactor(1, 1), stats)
-        insert_pair(q, make_pair(arena, 0, (6, 5), (6, 5)), ApproxFactor(1, 1), stats)
+        slots = {}
+        resident = pair_record(1, (4, 9), (4, 9), h=(10, 20))
+        newcomer = pair_record(2, (6, 5), (6, 5), h=(10, 20))
+        assert not _place(slots, resident, 1.0, 1.0)
         # (4,9) and (6,5) merge into tl (4,9), br (6,5): bounded at slack 1.
-        assert stats.n_merges == 1
-        assert len(q) == 1
-        merged = q.pop().pair
-        assert merged.tl_cost == CostVec(4, 9)
-        assert merged.br_cost == CostVec(6, 5)
+        assert _place(slots, newcomer, 1.0, 1.0)
+        assert list(slots.values()) == [newcomer]
+        assert not resident[10]
+        assert record_corners(newcomer) == (CostVec(4, 9), CostVec(6, 5))
+        # The apex f-values move with the corners.
+        assert newcomer[:2] == [14, 25]
 
     def test_unmergeable_insert_grows_bucket(self):
-        g = bigraph_from_arcs(2, [(0, 1, 1, 1)])
-        q = OpenQueue(h_for(g, 1))
-        arena = PathArena()
-        stats = SearchStats()
-        insert_pair(q, make_pair(arena, 0, (2, 9), (2, 9)), EXACT, stats)
-        insert_pair(q, make_pair(arena, 0, (9, 2), (9, 2)), EXACT, stats)
-        assert stats.n_merges == 0
-        assert len(q) == 2
+        slots = {}
+        assert not _place(slots, pair_record(1, (2, 9), (2, 9)), 0.0, 0.0)
+        assert not _place(slots, pair_record(2, (9, 2), (9, 2)), 0.0, 0.0)
+        assert list(slots) == [1, 2]
 
     def test_first_fit_stops_at_first_bounded_merge(self):
-        g = bigraph_from_arcs(2, [(0, 1, 1, 1)])
-        q = OpenQueue(h_for(g, 1))
-        arena = PathArena()
-        stats = SearchStats()
+        slots = {}
         # Both residents could absorb the incoming pair; only the first
         # (in insertion order) does.
-        insert_pair(q, make_pair(arena, 0, (10, 12), (10, 12)), ApproxFactor(1, 1), stats)
-        insert_pair(q, make_pair(arena, 0, (30, 11), (30, 11)), ApproxFactor(1, 1), stats)
-        assert stats.n_merges == 0 and len(q) == 2
-        insert_pair(q, make_pair(arena, 0, (11, 11), (11, 11)), ApproxFactor(1, 1), stats)
-        assert stats.n_merges == 1 and len(q) == 2
-        costs = sorted((e.pair.tl_cost, e.pair.br_cost) for e in q.bucket(0))
-        assert (CostVec(10, 12), CostVec(11, 11)) in costs
-        assert (CostVec(30, 11), CostVec(30, 11)) in costs
+        _place(slots, pair_record(1, (10, 12), (10, 12)), 1.0, 1.0)
+        _place(slots, pair_record(2, (30, 11), (30, 11)), 1.0, 1.0)
+        assert _first_fit(slots.values(), 11, 11, 11, 11, 1.0, 1.0) is slots[1]
+        assert _place(slots, pair_record(3, (11, 11), (11, 11)), 1.0, 1.0)
+        # The merged pair leaves the first resident's slot for the end.
+        assert list(slots) == [2, 3]
+        assert record_corners(slots[3]) == (CostVec(10, 12), CostVec(11, 11))
+        assert record_corners(slots[2]) == (CostVec(30, 11), CostVec(30, 11))
 
     def test_merge_into_solutions_replaces_in_place(self):
-        arena = PathArena()
-        stats = SearchStats()
-        sols = [make_pair(arena, 1, (4, 9), (4, 9))]
-        merge_into_solutions(sols, make_pair(arena, 1, (6, 5), (6, 5)),
-                             ApproxFactor(1, 1), stats)
-        assert len(sols) == 1
-        assert sols[0].tl_cost == CostVec(4, 9)
-        assert sols[0].br_cost == CostVec(6, 5)
-        assert stats.n_merges == 1
+        # The goal's solution list is placed into the same way.
+        sols = {}
+        _place(sols, pair_record(1, (4, 9), (4, 9)), 1.0, 1.0)
+        assert _place(sols, pair_record(2, (6, 5), (6, 5)), 1.0, 1.0)
+        (only,) = sols.values()
+        assert record_corners(only) == (CostVec(4, 9), CostVec(6, 5))
 
     def test_merge_into_solutions_appends_when_unbounded(self):
-        arena = PathArena()
-        stats = SearchStats()
-        sols = [make_pair(arena, 1, (2, 9), (2, 9))]
-        merge_into_solutions(sols, make_pair(arena, 1, (9, 2), (9, 2)), EXACT, stats)
+        sols = {}
+        _place(sols, pair_record(1, (2, 9), (2, 9)), 0.0, 0.0)
+        assert not _place(sols, pair_record(2, (9, 2), (9, 2)), 0.0, 0.0)
         assert len(sols) == 2
-        assert stats.n_merges == 0
 
     def test_pop_orders_by_apex_f(self):
-        g = bigraph_from_arcs(2, [(0, 1, 1, 1)])
-        q = OpenQueue(h_for(g, 1))
-        arena = PathArena()
-        stats = SearchStats()
-        insert_pair(q, make_pair(arena, 0, (5, 1), (5, 1)), EXACT, stats)
-        insert_pair(q, make_pair(arena, 0, (1, 5), (1, 5)), EXACT, stats)
-        assert q.pop().pair.tl_cost == CostVec(1, 5)
-        assert q.pop().pair.tl_cost == CostVec(5, 1)
+        heap = []
+        for rec in (
+            pair_record(1, (5, 1), (5, 1)),
+            pair_record(2, (1, 5), (1, 5)),
+            pair_record(3, (1, 5), (1, 5)),
+        ):
+            heapq.heappush(heap, rec)
+        # Lexicographic by (f1, f2), FIFO by seq on ties.
+        assert [heapq.heappop(heap)[2] for _ in range(3)] == [2, 3, 1]
+
+
+def anticorrelated_grid(side, rng):
+    """Both directions of every 4-neighbour arc, c1 in [1,100], c2 ~ 110 - c1."""
+    arcs = []
+    for r in range(side):
+        for c in range(side):
+            for rr, cc in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)):
+                if 0 <= rr < side and 0 <= cc < side:
+                    c1 = rng.randint(1, 100)
+                    c2 = max(1, 110 - c1 + rng.randint(-10, 10))
+                    arcs.append((r * side + c, rr * side + cc, c1, c2))
+    return bigraph_from_arcs(side * side, arcs)
+
+
+class TestAnticorrelatedGrid:
+    """Corner-to-corner on a seeded 10x10 grid with wide frontiers.
+
+    The pinned figures are the outputs and counters of the engine with
+    NamedTuple pairs in OPEN, before pairs became flat records; a change
+    to merge order, pruning or tie-breaking moves them.
+    """
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        g = anticorrelated_grid(10, random.Random(2021))
+        return g, compute_heuristics(g, 99)
+
+    @pytest.mark.parametrize(
+        "eps, n_costs, costs_digest, counters",
+        [
+            (0.0, 93, "46b5b9afef92e7c7", (2209, 3103, 547)),
+            (0.01, 46, "d1492250e2637762", (1847, 2681, 588)),
+            (0.1, 8, "a80856327158cb67", (785, 1238, 389)),
+        ],
+        ids=["eps-0", "eps-0.01", "eps-0.1"],
+    )
+    def test_pinned_outputs_and_counters(self, instance, eps, n_costs, costs_digest, counters):
+        g, h = instance
+        res = ppa_search(g, h, 0, 99, ApproxFactor.uniform(eps))
+        costs = sorted(res.solution_costs())
+        digest = hashlib.sha256(repr([tuple(c) for c in costs]).encode()).hexdigest()
+        assert (len(costs), digest[:16]) == (n_costs, costs_digest)
+        stats = res.stats
+        assert (stats.n_expanded, stats.n_generated, stats.n_merges) == counters
+        # Arena records are written only for pairs that survive pruning.
+        assert len(res.arena) <= 2 * stats.n_generated
+        if eps == 0.0:
+            assert res.solution_costs() == boa_search(g, h, 0, 99).solution_costs()
+            assert len(res.arena) == stats.n_generated
 
 
 class TestEdgeCases:
