@@ -177,9 +177,8 @@ def anticorrelated_grid(side, rng):
 class TestAnticorrelatedGrid:
     """Corner-to-corner on a seeded 10x10 grid with wide frontiers.
 
-    The pinned figures are the outputs and counters of the engine with
-    NamedTuple pairs in OPEN, before pairs became flat records; a change
-    to merge order, pruning or tie-breaking moves them.
+    The pinned cost sets and counters move with any change to merge
+    order, pruning or tie-breaking.
     """
 
     @pytest.fixture(scope="class")
