@@ -51,7 +51,7 @@ def main() -> int:
     eps = ApproxFactor.uniform(args.eps)
     mismatches = 0
     ppa_fewer = 0
-    for i, (s, t, h) in enumerate(queries):
+    for i, (s, t, h, _heuristic_ms) in enumerate(queries):
         exact_a, _ = solve_query(g, s, t, "boa", ApproxFactor.uniform(0.0),
                                  query_id=i, h=h)
         exact_b, _ = solve_query(g, s, t, "ppa", ApproxFactor.uniform(0.0),

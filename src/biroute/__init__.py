@@ -30,9 +30,7 @@ from .heuristics import (
 from .pareto import (
     EXACT,
     ApproxFactor,
-    PathArena,
     PathPair,
-    SearchPath,
     SearchResult,
     SearchStats,
     apex,
@@ -75,9 +73,7 @@ __all__ = [
     "load_or_compute_heuristics",
     "EXACT",
     "ApproxFactor",
-    "PathArena",
     "PathPair",
-    "SearchPath",
     "SearchResult",
     "SearchStats",
     "apex",

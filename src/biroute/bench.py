@@ -33,8 +33,6 @@ from .oracle import (
 from .pareto import EXACT, ApproxFactor, SearchResult
 from .ppa import ppa_search
 
-ALGORITHMS = ("boa", "boa_eps", "ppa")
-
 CSV_COLUMNS = (
     "query_id",
     "source",
@@ -171,18 +169,19 @@ def sample_queries(
     seed: int,
     retry_budget: int = 10_000,
     h_cache_dir: str | None = None,
-) -> list[tuple[int, int, HeuristicTable]]:
-    """Seeded uniform (start, goal) pairs with goal reachable from start.
+) -> list[tuple[int, int, HeuristicTable, float]]:
+    """Seeded uniform (start, goal, table, heuristic_ms) queries, goal reachable.
 
-    Reachability is judged from the goal's h1 table; tables are reused
-    across queries sharing a goal (and cached in h_cache_dir when given).
-    Draws that fail the check still consume the generator, keeping the
-    sequence deterministic for a given seed.
+    Reachability is judged from the goal's h1 table. Each drawn goal's
+    table is loaded or built once (and cached in h_cache_dir when given),
+    then shared by every query to that goal along with the milliseconds
+    that one load or build took. Draws that fail the check still consume
+    the generator, keeping the sequence deterministic for a given seed.
     """
     rng = random.Random(seed)
     n = g.vertex_count
-    tables: dict[int, HeuristicTable] = {}
-    queries: list[tuple[int, int, HeuristicTable]] = []
+    tables: dict[int, tuple[HeuristicTable, float]] = {}
+    queries: list[tuple[int, int, HeuristicTable, float]] = []
     attempts = 0
     while len(queries) < n_queries:
         if attempts >= retry_budget:
@@ -193,24 +192,23 @@ def sample_queries(
         start = rng.randrange(n)
         goal = rng.randrange(n)
         if goal not in tables:
-            tables[goal] = load_or_compute_heuristics(g, goal, h_cache_dir)
-        if tables[goal].reachable(start):
-            queries.append((start, goal, tables[goal]))
+            t0 = time.perf_counter()
+            h = load_or_compute_heuristics(g, goal, h_cache_dir)
+            tables[goal] = h, (time.perf_counter() - t0) * 1000.0
+        h, heuristic_ms = tables[goal]
+        if h.reachable(start):
+            queries.append((start, goal, h, heuristic_ms))
     return queries
 
 
 def _query_rows(
     g: BiGraph,
     query_id: int,
-    start: int,
-    goal: int,
+    query: tuple[int, int, HeuristicTable, float],
     algorithms: tuple[str, ...],
     eps_grid: tuple[ApproxFactor, ...],
-    h_cache_dir: str | None,
 ) -> list[QueryReport]:
-    t0 = time.perf_counter()
-    h = load_or_compute_heuristics(g, goal, h_cache_dir)
-    heuristic_ms = (time.perf_counter() - t0) * 1000.0
+    start, goal, h, heuristic_ms = query
     rows = []
     for algorithm in algorithms:
         for eps in eps_grid:
@@ -225,11 +223,10 @@ def _query_rows(
 _POOL_STATE: tuple | None = None
 
 
-def _pool_worker(task: tuple[int, int, int]) -> list[QueryReport]:
+def _pool_worker(query_id: int) -> list[QueryReport]:
     assert _POOL_STATE is not None
-    g, algorithms, eps_grid, h_cache_dir = _POOL_STATE
-    query_id, start, goal = task
-    return _query_rows(g, query_id, start, goal, algorithms, eps_grid, h_cache_dir)
+    g, queries, algorithms, eps_grid = _POOL_STATE
+    return _query_rows(g, query_id, queries[query_id], algorithms, eps_grid)
 
 
 def bench_run(
@@ -243,21 +240,20 @@ def bench_run(
 ) -> list[QueryReport]:
     """Run the benchmark grid over seeded random queries, in query order."""
     queries = sample_queries(g, n_queries, seed, h_cache_dir=h_cache_dir)
-    tasks = [(qid, s, t) for qid, (s, t, _h) in enumerate(queries)]
     if workers <= 1:
         batches = [
-            _query_rows(g, qid, s, t, algorithms, eps_grid, h_cache_dir)
-            for qid, s, t in tasks
+            _query_rows(g, qid, query, algorithms, eps_grid)
+            for qid, query in enumerate(queries)
         ]
     else:
         global _POOL_STATE
         import multiprocessing
 
-        _POOL_STATE = (g, algorithms, eps_grid, h_cache_dir)
+        _POOL_STATE = (g, queries, algorithms, eps_grid)
         try:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(workers) as pool:
-                batches = pool.map(_pool_worker, tasks)
+                batches = pool.map(_pool_worker, range(len(queries)))
         finally:
             _POOL_STATE = None
     return [row for batch in batches for row in batch]

@@ -20,13 +20,7 @@ import heapq
 
 from .graph import BiGraph, CostVec
 from .heuristics import UNREACHABLE, HeuristicTable, validate_query
-from .pareto import (
-    EXACT,
-    ApproxFactor,
-    PathArena,
-    SearchResult,
-    SearchStats,
-)
+from .pareto import EXACT, ApproxFactor, SearchResult
 
 _INF = float("inf")
 
@@ -45,30 +39,31 @@ def boa_search(
     in c2. An unreachable goal yields an empty result.
     """
     validate_query(g, h, start, goal)
-    arena = PathArena()
-    stats = SearchStats()
-    result = SearchResult(arena=arena, solutions=[], stats=stats)
+    result = SearchResult()
     h1, h2 = h.h1, h.h2
     if h1[start] == UNREACHABLE:
         return result
     eps2 = eps.eps2
     edges = g.edges
     g2min: list[float | int] = [_INF] * g.vertex_count
+    arena = result.arena
+    append = arena.append
 
-    root = arena.add(start, CostVec(0, 0), None)
-    heap: list[tuple[int, int, int, int]] = [(h1[start], h2[start], 0, root)]
+    # An OPEN entry is (f1, f2, seq, vertex, g1, g2). Each generated path
+    # gets the next seq and the next arena slot, so seq is its arena index.
+    append((start, None))
+    heap: list[tuple[int, int, int, int, int, int]] = [(h1[start], h2[start], 0, start, 0, 0)]
     seq = 1
-    stats.n_generated = 1
+    n_expanded = 0
     if __debug__:
         last_f1 = 0
         last_f2_at: dict[int, int] = {}
 
     while heap:
-        f1, f2, _, idx = heapq.heappop(heap)
-        u, (g1, g2), _parent = arena[idx]
+        f1, f2, idx, u, g1, g2 = heapq.heappop(heap)
         if g2 >= g2min[u] or f2 + eps2 * f2 >= g2min[goal]:
             continue
-        stats.n_expanded += 1
+        n_expanded += 1
         if __debug__:
             assert f1 >= last_f1, "extraction order broke f1 monotonicity"
             last_f1 = f1
@@ -80,19 +75,21 @@ def boa_search(
         g2min[u] = g2
         if u == goal:
             result.solutions.append(idx)
+            result.costs.append(CostVec(g1, g2))
             continue
-        for target, cost in edges[u]:
+        for target, (c1, c2) in edges[u]:
             th1 = h1[target]
             if th1 == UNREACHABLE:
                 continue
-            ng2 = g2 + cost.c2
+            ng2 = g2 + c2
             nf2 = ng2 + h2[target]
             if ng2 >= g2min[target] or nf2 + eps2 * nf2 >= g2min[goal]:
                 continue
-            ng1 = g1 + cost.c1
-            child = arena.add(target, CostVec(ng1, ng2), idx)
-            heapq.heappush(heap, (ng1 + th1, nf2, seq, child))
+            ng1 = g1 + c1
+            append((target, idx))
+            heapq.heappush(heap, (ng1 + th1, nf2, seq, target, ng1, ng2))
             seq += 1
-            stats.n_generated += 1
-    return result
 
+    result.stats.n_expanded = n_expanded
+    result.stats.n_generated = seq  # one seq per generated path, the root's included
+    return result

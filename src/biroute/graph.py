@@ -81,14 +81,6 @@ class BiGraph:
     def edge_count(self) -> int:
         return sum(len(adj) for adj in self.edges)
 
-    def reversed(self) -> "BiGraph":
-        """The transposed graph; reversing twice yields an equal graph."""
-        return BiGraph(
-            vertex_count=self.vertex_count,
-            edges=[list(adj) for adj in self.reverse_edges],
-            reverse_edges=[list(adj) for adj in self.edges],
-        )
-
 
 def _transpose(n: int, edges: list[list[Edge]]) -> list[list[Edge]]:
     rev: list[list[Edge]] = [[] for _ in range(n)]
@@ -201,9 +193,14 @@ def build_bigraph(
 
 
 def bigraph_from_arcs(n: int, arcs: Iterable[tuple[int, int, int, int]]) -> BiGraph:
-    """Build a BiGraph from ``(u, v, c1, c2)`` arcs with 0-based ids."""
+    """Build a BiGraph from ``(u, v, c1, c2)`` arcs with 0-based ids.
+
+    Raises ValueError naming the arc when an endpoint lies outside ``[0, n)``.
+    """
     adjacency: list[list[Edge]] = [[] for _ in range(n)]
     for u, v, c1, c2 in arcs:
+        if not 0 <= u < n:
+            raise ValueError(f"arc {u}->{v} leaves [0, {n})")
         adjacency[u].append(Edge(v, CostVec(c1, c2)))
     return BiGraph(vertex_count=n, edges=adjacency)
 

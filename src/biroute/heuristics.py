@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import os
 import pickle
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 from .graph import BiGraph
 
@@ -93,23 +96,33 @@ def load_or_compute_heuristics(
     """compute_heuristics with an optional binary cache.
 
     Cache entries are keyed by (graph content hash, goal), so a stale file
-    from a different graph can never be returned for this one.
+    from a different graph can never be returned for this one. A missing,
+    unreadable or misshapen entry is recomputed and rewritten, through a
+    temp file of its own so that concurrent writers never clash.
     """
     if cache_dir is None:
         return compute_heuristics(g, goal)
-    from pathlib import Path
-
     key = f"{graph_digest(g)}-{goal}-v{_CACHE_VERSION}"
     cache_path = Path(cache_dir) / f"h-{key}.pkl"
-    if cache_path.exists():
+    try:
         with open(cache_path, "rb") as fh:
             table = pickle.load(fh)
-        if isinstance(table, HeuristicTable) and table.goal == goal:
-            return table
+    except Exception:  # missing (OSError) or corrupt: pickle may raise anything
+        table = None
+    if (
+        isinstance(table, HeuristicTable)
+        and table.goal == goal
+        and len(table.h1) == len(table.h2) == g.vertex_count
+    ):
+        return table
     table = compute_heuristics(g, goal)
     cache_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = cache_path.with_suffix(".tmp")
-    with open(tmp_path, "wb") as fh:
-        pickle.dump(table, fh)
-    tmp_path.replace(cache_path)
+    fd, tmp_name = tempfile.mkstemp(dir=cache_path.parent, prefix=cache_path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(table, fh)
+        os.replace(tmp_name, cache_path)
+    except BaseException:
+        os.unlink(tmp_name)
+        raise
     return table

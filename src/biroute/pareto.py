@@ -52,55 +52,14 @@ def approx_dominates(p: CostVec, q: CostVec, eps: ApproxFactor) -> bool:
     return p[0] <= q[0] + eps.eps1 * q[0] and p[1] <= q[1] + eps.eps2 * q[1]
 
 
-class SearchPath(NamedTuple):
-    """One node of the path arena: last vertex, accumulated cost, parent index."""
-
-    vertex: int
-    g: CostVec
-    parent: int | None
-
-
-class PathArena:
-    """Append-only store of SearchPath records indexed by dense integers.
-
-    Paths never own their predecessors; they reference them by index, so
-    extending a path is O(1) and reconstruction walks parent links. An
-    arena is confined to a single search run.
-    """
-
-    def __init__(self):
-        self.paths: list[SearchPath] = []
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __getitem__(self, idx: int) -> SearchPath:
-        return self.paths[idx]
-
-    def add(self, vertex: int, g: CostVec, parent: int | None = None) -> int:
-        self.paths.append(SearchPath(vertex, g, parent))
-        return len(self.paths) - 1
-
-    def vertex_sequence(self, idx: int) -> list[int]:
-        """The vertices of path ``idx`` from the search start to its end."""
-        seq = []
-        cursor: int | None = idx
-        while cursor is not None:
-            node = self.paths[cursor]
-            seq.append(node.vertex)
-            cursor = node.parent
-        seq.reverse()
-        return seq
-
-
 class PathPair(NamedTuple):
     """Two same-vertex paths bracketing a segment of the Pareto frontier.
 
     ``tl`` (top-left) has the smaller first cost and larger second cost,
-    ``br`` (bottom-right) the opposite; the two may be the same path. Costs
-    are cached in the tuple so dominance tests skip arena lookups. ``tl``
-    and ``br`` are arena indices. The path-pair engine returns its
-    solution pairs in this form; inside its loop a pair is a flat record.
+    ``br`` (bottom-right) the opposite; the two may be the same path. ``tl``
+    and ``br`` are arena indices; the arena keeps no costs, so the pair
+    carries them. The path-pair engine returns its solution pairs in this
+    form; inside its loop a pair is a flat record.
     """
 
     vertex: int
@@ -162,18 +121,29 @@ class SearchStats:
 class SearchResult:
     """Solutions plus counters from one engine run.
 
-    ``solutions`` holds arena indices of the returned goal paths in
-    discovery order; ``pairs`` is populated only by the path-pair engine
-    and keeps the stored solution pairs backing those paths.
+    ``arena`` holds a ``(vertex, parent)`` tuple per stored path, ``parent``
+    being an arena index or None at the start. ``solutions`` holds arena
+    indices of the returned goal paths in discovery order, ``costs`` their
+    costs. ``pairs`` is populated only by the path-pair engine and keeps
+    the stored solution pairs backing those paths.
     """
 
-    arena: PathArena
-    solutions: list[int]
-    stats: SearchStats
+    arena: list[tuple[int, int | None]] = field(default_factory=list)
+    solutions: list[int] = field(default_factory=list)
+    costs: list[CostVec] = field(default_factory=list)
+    stats: SearchStats = field(default_factory=SearchStats)
     pairs: list[PathPair] = field(default_factory=list)
 
     def solution_costs(self) -> list[CostVec]:
-        return [self.arena[idx].g for idx in self.solutions]
+        return list(self.costs)
 
     def solution_vertices(self, position: int) -> list[int]:
-        return self.arena.vertex_sequence(self.solutions[position])
+        """The vertices of solution ``position``, from the search start to the goal."""
+        arena = self.arena
+        seq = []
+        cursor = self.solutions[position]
+        while cursor is not None:
+            vertex, cursor = arena[cursor]
+            seq.append(vertex)
+        seq.reverse()
+        return seq

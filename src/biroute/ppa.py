@@ -18,12 +18,14 @@ the pair: a pair is dropped when f2 of its bottom-right path, relaxed by
 when that path's g2 is no better than the record at the pair's vertex.
 
 Inside the search loop a pair is one flat list record (layout below) that
-sits directly in the heap and in its vertex bucket. A child's corner costs
-are computed as plain ints and pruned before anything is allocated; only
-surviving children append their paths to the arena (one record when both
-corners are the same path, two otherwise). Buckets and the goal's solution
-list are insertion-ordered dicts keyed by seq, scanned first-fit by
-``_first_fit``. ``PathPair`` tuples are built once, for the result.
+sits directly in the heap and in its vertex bucket; it is the only place
+the search keeps corner costs. Children are pruned before anything is
+allocated, and a survivor appends one ``(vertex, parent)`` arena tuple
+per distinct corner path. Vertex buckets are insertion-ordered dicts keyed
+by seq, scanned first-fit by ``_first_fit``. Goal pairs need no scan: they
+pop in non-decreasing tl1, and a survivor of the goal-bound prune has a
+relaxed br2 below every stored br2, so it neither absorbs nor fits a
+stored pair. ``PathPair`` tuples are built once, for the result.
 
 Projection to returned paths: each stored solution pair contributes its
 bottom-right path. The bottom-right cost is within the slack of every
@@ -44,15 +46,7 @@ from heapq import heappop, heappush
 
 from .graph import BiGraph, CostVec
 from .heuristics import UNREACHABLE, HeuristicTable, validate_query
-from .pareto import (
-    EXACT,
-    ApproxFactor,
-    PathArena,
-    PathPair,
-    SearchResult,
-    SearchStats,
-    pareto_filter,
-)
+from .pareto import EXACT, ApproxFactor, PathPair, SearchResult, pareto_filter
 
 _INF = float("inf")
 
@@ -135,21 +129,20 @@ def ppa_search(
     the returned costs are exactly the Pareto-optimal ones.
     """
     validate_query(g, h, start, goal)
-    arena = PathArena()
-    stats = SearchStats()
-    result = SearchResult(arena=arena, solutions=[], stats=stats)
+    result = SearchResult()
     h1, h2 = h.h1, h.h2
     if h1[start] == UNREACHABLE:
         return result
     e1, e2 = eps.eps1, eps.eps2
     edges = g.edges
-    add = arena.add
+    arena = result.arena
+    append = arena.append
     g2min: list = [_INF] * g.vertex_count
     buckets: defaultdict[int, dict[int, list]] = defaultdict(dict)
-    solutions: dict[int, list] = {}
+    solutions: list[list] = []
 
-    root = add(start, CostVec(0, 0), None)
-    rec = [h1[start], h2[start], 0, start, root, root, 0, 0, 0, 0, True]
+    append((start, None))
+    rec = [h1[start], h2[start], 0, start, 0, 0, 0, 0, 0, 0, True]
     buckets[start][0] = rec
     heap = [rec]
     seq = 1
@@ -177,7 +170,7 @@ def ppa_search(
             last_f2_at[u] = f2
         g2min[u] = br2
         if u == goal:
-            n_merges += _place(solutions, rec, e1, e2)
+            solutions.append(rec)
             continue
         for target, (c1, c2) in edges[u]:
             th1 = h1[target]
@@ -189,27 +182,29 @@ def ppa_search(
                 continue
             ntl1 = tl1 + c1
             ntl2 = tl2 + c2
-            ntl = add(target, CostVec(ntl1, ntl2), tl)
+            ntl = len(arena)
+            append((target, tl))
             if tl == br:
                 nbr, nbr1 = ntl, ntl1
             else:
-                nbr1 = br1 + c1
-                nbr = add(target, CostVec(nbr1, nbr2), br)
+                nbr, nbr1 = ntl + 1, br1 + c1
+                append((target, br))
             rec = [ntl1 + th1, nf2, seq, target, ntl, nbr, ntl1, ntl2, nbr1, nbr2, True]
             seq += 1
             n_merges += _place(buckets[target], rec, e1, e2)
             heappush(heap, rec)
 
-    stats.n_expanded = n_expanded
-    stats.n_generated = seq  # one seq per generated pair, the root's included
-    stats.n_merges = n_merges
+    result.stats.n_expanded = n_expanded
+    result.stats.n_generated = seq  # one seq per generated pair, the root's included
+    result.stats.n_merges = n_merges
     result.pairs = [
         PathPair(goal, r[4], r[5], CostVec(r[6], r[7]), CostVec(r[8], r[9]))
-        for r in solutions.values()
+        for r in solutions
     ]
     kept_costs = set(pareto_filter(p.br_cost for p in result.pairs))
     for p in result.pairs:
         if p.br_cost in kept_costs:
             result.solutions.append(p.br)
+            result.costs.append(p.br_cost)
             kept_costs.discard(p.br_cost)
     return result

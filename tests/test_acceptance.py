@@ -21,7 +21,6 @@ import pytest
 from biroute import (
     ApproxFactor,
     CostVec,
-    PathArena,
     PathPair,
     approx_dominates,
     bench_run,
@@ -122,7 +121,6 @@ def test_invariant_assertions_hold_during_verification():
 
 def test_bounded_pair_extremes_cover_interior_points():
     rng = random.Random(20260822)
-    arena = PathArena()
     eps_choices = (0.0, 0.01, 0.1, 0.5, 1.0, 3.0)
     bad = 0
     for _ in range(10_000):
@@ -130,13 +128,12 @@ def test_bounded_pair_extremes_cover_interior_points():
         a1, a2 = rng.randint(1, 100), rng.randint(1, 100)
         b1 = rng.randint(a1, math.floor(a1 * (1 + eps.eps1)))
         b2 = rng.randint(math.ceil(a2 / (1 + eps.eps2)), a2)
-        tl = arena.add(0, CostVec(a1, a2), None)
-        br = arena.add(0, CostVec(b1, b2), None)
-        pair = PathPair(0, tl, br, arena[tl].g, arena[br].g)
+        tl, br = CostVec(a1, a2), CostVec(b1, b2)
+        pair = PathPair(0, 0, 1, tl, br)
         if not is_bounded(pair, eps):
             # Integer rounding can overshoot the slack; a degenerate pair
             # is always a legitimate sample.
-            pair = PathPair(0, tl, tl, arena[tl].g, arena[tl].g)
+            pair = PathPair(0, 0, 0, tl, tl)
         interior = CostVec(
             rng.randint(pair.tl_cost.c1, pair.br_cost.c1),
             rng.randint(pair.br_cost.c2, pair.tl_cost.c2),
@@ -205,7 +202,7 @@ def test_road_network_smoke():
     queries = sample_queries(g, 50, seed=0)
     mismatched = []
     ppa_fewer = boa_fewer = 0
-    for i, (s, t, h) in enumerate(queries):
+    for i, (s, t, h, _heuristic_ms) in enumerate(queries):
         exact_a, _ = solve_query(g, s, t, "boa", ApproxFactor.uniform(0.0), h=h)
         exact_b, _ = solve_query(g, s, t, "ppa", ApproxFactor.uniform(0.0), h=h)
         if exact_a.solution_costs != exact_b.solution_costs:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import biroute.heuristics as heuristics
 from biroute import (
     EXACT,
     ApproxFactor,
@@ -292,6 +293,25 @@ class TestLibraryBench:
             "n_solutions", "n_expanded", "n_generated", "time_ms",
             "heuristic_ms", "solution_costs",
         ]
+
+    def test_each_goal_table_is_built_once(self, monkeypatch):
+        built = []
+        compute = heuristics.compute_heuristics
+
+        def counting(g, goal):
+            built.append(goal)
+            return compute(g, goal)
+
+        monkeypatch.setattr(heuristics, "compute_heuristics", counting)
+        g, _, _ = random_instance(3, n_max=12)
+        reports = bench_run(g, n_queries=8, seed=5, eps_grid=[EXACT],
+                            algorithms=("boa", "ppa"))
+        assert len(built) == len(set(built))
+        # Every row to a goal reports that goal's one build.
+        build_ms = {}
+        for r in reports:
+            assert build_ms.setdefault(r.target, r.heuristic_ms) == r.heuristic_ms
+        assert len(build_ms) < 8 and {t - 1 for t in build_ms} <= set(built)
 
     def test_worker_pool_matches_sequential(self):
         g, _, _ = random_instance(3, n_max=12)

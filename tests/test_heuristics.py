@@ -1,12 +1,14 @@
 """Backward-distance tables: hand values, admissibility, consistency, caching."""
 
 import heapq
+import pickle
 import random
 
 import pytest
 
 from biroute import (
     UNREACHABLE,
+    HeuristicTable,
     bigraph_from_arcs,
     compute_heuristics,
     graph_digest,
@@ -14,17 +16,17 @@ from biroute import (
 )
 
 
-def forward_dijkstra(g, source, component):
+def forward_dijkstra(adjacency, source, component):
     # Independent single-criterion reference, deliberately not reusing
     # the backward implementation under test.
-    dist = [UNREACHABLE] * g.vertex_count
+    dist = [UNREACHABLE] * len(adjacency)
     dist[source] = 0
     heap = [(0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for e in g.edges[u]:
+        for e in adjacency[u]:
             w = e.cost[component]
             if d + w < dist[e.target]:
                 dist[e.target] = d + w
@@ -74,9 +76,8 @@ class TestAgainstForwardDijkstra:
             g = random_graph(rng)
             goal = rng.randrange(g.vertex_count)
             h = compute_heuristics(g, goal)
-            rev = g.reversed()
-            assert h.h1 == forward_dijkstra(rev, goal, 0)
-            assert h.h2 == forward_dijkstra(rev, goal, 1)
+            assert h.h1 == forward_dijkstra(g.reverse_edges, goal, 0)
+            assert h.h2 == forward_dijkstra(g.reverse_edges, goal, 1)
 
 
 class TestConsistency:
@@ -108,6 +109,22 @@ class TestCache:
         load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
         load_or_compute_heuristics(g1, 0, cache_dir=tmp_path)
         assert len(list(tmp_path.iterdir())) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b"garbage\n", pickle.dumps(HeuristicTable(goal=3, h1=[0], h2=[0]))],
+        ids=["empty", "garbage", "misshapen"],
+    )
+    def test_bad_entry_is_recomputed_and_rewritten(self, g1, tmp_path, content):
+        load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
+        (entry,) = tmp_path.iterdir()
+        entry.write_bytes(content)
+        h = load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
+        assert h.h1 == [2, 1, 4, 0] and h.h2 == [2, 4, 1, 0]
+        # The entry is rewritten in place and no temp file is left behind.
+        assert list(tmp_path.iterdir()) == [entry]
+        with open(entry, "rb") as fh:
+            assert pickle.load(fh) == h
 
     def test_no_cache_dir_means_no_files(self, g1, tmp_path):
         h = load_or_compute_heuristics(g1, 3, cache_dir=None)

@@ -10,8 +10,8 @@ from biroute import (
     EXACT,
     ApproxFactor,
     CostVec,
-    PathArena,
     PathPair,
+    SearchResult,
     apex,
     approx_dominates,
     bigraph_from_arcs,
@@ -19,6 +19,7 @@ from biroute import (
     is_bounded,
     pareto_filter,
     ppa_search,
+    random_instance,
     strictly_dominates,
     weakly_dominates,
 )
@@ -84,30 +85,28 @@ class TestDominance:
 
 class TestPathPair:
     def pair(self, tl_cost, br_cost, vertex=0):
-        arena = PathArena()
-        tl = arena.add(vertex, CostVec(*tl_cost), None)
-        br = tl if tl_cost == br_cost else arena.add(vertex, CostVec(*br_cost), None)
-        return PathPair(vertex, tl, br, arena[tl].g, arena[br].g), arena
+        br = 0 if tl_cost == br_cost else 1
+        return PathPair(vertex, 0, br, CostVec(*tl_cost), CostVec(*br_cost))
 
     def test_apex(self):
-        pp, _ = self.pair((10, 20), (11, 18))
+        pp = self.pair((10, 20), (11, 18))
         assert apex(pp) == CostVec(10, 18)
 
     def test_bounded_examples(self):
-        pp, _ = self.pair((10, 20), (11, 18))
+        pp = self.pair((10, 20), (11, 18))
         assert is_bounded(pp, ApproxFactor(0.1, 0.12))
         assert not is_bounded(pp, ApproxFactor(0.05, 0.12))
         assert not is_bounded(pp, ApproxFactor(0.1, 0.11))
 
     def test_degenerate_pair_always_bounded(self):
-        pp, _ = self.pair((3, 3), (3, 3))
+        pp = self.pair((3, 3), (3, 3))
         assert is_bounded(pp, EXACT)
 
     def test_zero_cost_components(self):
         # A zero component on the reference path forces equality on that axis.
-        pp, _ = self.pair((0, 5), (0, 5))
+        pp = self.pair((0, 5), (0, 5))
         assert is_bounded(pp, EXACT)
-        qq, _ = self.pair((0, 6), (1, 5))
+        qq = self.pair((0, 6), (1, 5))
         assert not is_bounded(qq, ApproxFactor(10, 0.2))
 
     def test_extend_adds_edge_cost_to_both(self):
@@ -118,8 +117,10 @@ class TestPathPair:
         assert pp.vertex == 3
         assert pp.tl_cost == CostVec(1, 4) and pp.br_cost == CostVec(1, 4)
         assert pp.tl == pp.br
-        assert res.arena.vertex_sequence(pp.tl) == [0, 3]
-        assert len(res.arena) == res.stats.n_generated == 2
+        assert res.solutions == [pp.br]
+        assert res.solution_vertices(0) == [0, 3]
+        assert res.arena == [(0, None), (3, 0)]
+        assert res.stats.n_generated == 2
 
     def test_extend_divergent_pair(self):
         # (4,9) and (6,5) merge at vertex 1 under slack 1; the merged pair
@@ -131,6 +132,10 @@ class TestPathPair:
         assert pp.tl_cost == CostVec(5, 10) and pp.br_cost == CostVec(7, 6)
         assert res.stats.n_generated == 4 and res.stats.n_merges == 1
         assert len(res.arena) == 5
+        # Both corners walk back through their own arc into vertex 1.
+        assert res.arena[pp.tl] == (2, 1) and res.arena[pp.br] == (2, 2)
+        assert res.solution_costs() == [CostVec(7, 6)]
+        assert res.solution_vertices(0) == [0, 1, 2]
 
     def test_merge_takes_best_of_each_corner(self):
         slots = {}
@@ -225,7 +230,18 @@ class TestPathPair:
         assert pp.vertex == 7
         assert pp.tl == pp.br
         assert pp.tl_cost == CostVec(0, 0)
-        assert res.arena.vertex_sequence(pp.tl) == [7]
+        assert res.solution_vertices(0) == [7]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10_000), slacks, slacks)
+    def test_stored_solution_pairs_descend_in_br2(self, seed, e1, e2):
+        # Goal pairs are stored in pop order without a merge scan; each
+        # one that survives the goal-bound prune has a smaller br2 than
+        # every pair stored before it.
+        g, s, t = random_instance(seed, n_max=20)
+        res = ppa_search(g, compute_heuristics(g, t), s, t, ApproxFactor(e1, e2))
+        br2 = [p.br_cost.c2 for p in res.pairs]
+        assert all(a > b for a, b in zip(br2, br2[1:]))
 
 
 class TestParetoFilter:
@@ -256,9 +272,10 @@ class TestParetoFilter:
 
 class TestArena:
     def test_vertex_sequence_follows_parents(self):
-        arena = PathArena()
-        a = arena.add(0, CostVec(0, 0), None)
-        b = arena.add(1, CostVec(1, 4), a)
-        c = arena.add(3, CostVec(2, 8), b)
-        assert arena.vertex_sequence(c) == [0, 1, 3]
-        assert len(arena) == 3
+        # Arena records are (vertex, parent) tuples; record 2 is a dead end
+        # that the walk from record 3 must skip.
+        arena = [(0, None), (1, 0), (2, 0), (3, 1)]
+        res = SearchResult(arena=arena, solutions=[3, 2], costs=[CostVec(2, 8), CostVec(4, 1)])
+        assert res.solution_vertices(0) == [0, 1, 3]
+        assert res.solution_vertices(1) == [0, 2]
+        assert res.solution_costs() == [CostVec(2, 8), CostVec(4, 1)]
