@@ -43,7 +43,7 @@ def boa_search(
     h1, h2 = h.h1, h.h2
     if h1[start] == UNREACHABLE:
         return result
-    eps2 = eps.eps2
+    eps2 = eps.eps2 or 0  # zero slack as int 0 keeps eps2 * f2 exact
     edges = g.edges
     g2min: list[float | int] = [_INF] * g.vertex_count
     arena = result.arena

@@ -54,11 +54,19 @@ class BiGraph:
     lists the same arcs flipped, so backward searches need no transposition
     at query time. Vertex ids are dense integers in ``[0, vertex_count)``.
     Parallel arcs and self loops are kept as given.
+
+    The graph is immutable after construction: ``reverse_edges`` is derived
+    once, here, and the content digest once, on the first
+    ``heuristics.graph_digest`` call, which keeps it in ``_digest``.
+    Mutating ``edges`` afterwards already leaves ``reverse_edges`` (and so
+    every heuristic table) stale; the kept digest goes stale with them.
+    The digest takes no part in equality or repr.
     """
 
     vertex_count: int
     edges: list[list[Edge]]
     reverse_edges: list[list[Edge]] = field(default_factory=list)
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.vertex_count < 0:

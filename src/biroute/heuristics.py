@@ -81,13 +81,19 @@ def compute_heuristics(g: BiGraph, goal: int) -> HeuristicTable:
 
 
 def graph_digest(g: BiGraph) -> str:
-    """Content hash of a BiGraph, stable across processes."""
-    hasher = hashlib.sha256()
-    hasher.update(f"n={g.vertex_count}".encode())
-    for u in range(g.vertex_count):
-        for target, cost in g.edges[u]:
-            hasher.update(f";{u},{target},{cost.c1},{cost.c2}".encode())
-    return hasher.hexdigest()
+    """Content hash of a BiGraph, stable across processes.
+
+    The pass over every arc runs once per graph object; the hash is kept
+    on ``g`` and later calls return it (see ``BiGraph`` on immutability).
+    """
+    if g._digest is None:
+        hasher = hashlib.sha256()
+        hasher.update(f"n={g.vertex_count}".encode())
+        for u in range(g.vertex_count):
+            for target, cost in g.edges[u]:
+                hasher.update(f";{u},{target},{cost.c1},{cost.c2}".encode())
+        g._digest = hasher.hexdigest()
+    return g._digest
 
 
 def load_or_compute_heuristics(

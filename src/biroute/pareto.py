@@ -4,7 +4,10 @@ Costs are nonnegative integers, so all exact comparisons stay in integer
 arithmetic. Approximate comparisons follow the convention that a factor
 ``eps`` relaxes the right-hand side multiplicatively: ``x`` approximately
 dominates ``y`` componentwise when ``x <= (1 + eps) * y``, evaluated as
-``x <= y + eps * y`` in double precision so that ``eps = 0`` stays exact.
+``x <= y + eps * y``. A zero slack is read as the int 0 (``eps.eps1 or 0``)
+so that ``eps = 0`` stays exact in integers even above 2**53, where
+``y + 0.0 * y`` would round; a positive slack is applied in double
+precision. The engines read their slack the same way.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def strictly_dominates(p: CostVec, q: CostVec) -> bool:
 
 def approx_dominates(p: CostVec, q: CostVec, eps: ApproxFactor) -> bool:
     """True iff p is within the (eps1, eps2) relaxation of dominating q."""
-    return p[0] <= q[0] + eps.eps1 * q[0] and p[1] <= q[1] + eps.eps2 * q[1]
+    e1, e2 = eps.eps1 or 0, eps.eps2 or 0
+    return p[0] <= q[0] + e1 * q[0] and p[1] <= q[1] + e2 * q[1]
 
 
 class PathPair(NamedTuple):
@@ -84,8 +88,8 @@ def is_bounded(pp: PathPair, eps: ApproxFactor) -> bool:
     c1_tl = pp.tl_cost.c1
     c2_br = pp.br_cost.c2
     return (
-        pp.br_cost.c1 <= c1_tl + eps.eps1 * c1_tl
-        and pp.tl_cost.c2 <= c2_br + eps.eps2 * c2_br
+        pp.br_cost.c1 <= c1_tl + (eps.eps1 or 0) * c1_tl
+        and pp.tl_cost.c2 <= c2_br + (eps.eps2 or 0) * c2_br
     )
 
 

@@ -133,7 +133,7 @@ def ppa_search(
     h1, h2 = h.h1, h.h2
     if h1[start] == UNREACHABLE:
         return result
-    e1, e2 = eps.eps1, eps.eps2
+    e1, e2 = eps.eps1 or 0, eps.eps2 or 0  # zero slack as int 0 stays exact
     edges = g.edges
     arena = result.arena
     append = arena.append

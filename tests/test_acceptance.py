@@ -245,6 +245,49 @@ def test_uniform_slack_three_collapses_hand_graph():
     )
 
 
+def test_zero_slack_stays_exact_above_2_53():
+    # A zero slack applied as a float rounds B + 4 and B + 3 together, so
+    # the engines kept only (1, B + 4) and the checker accepted that.
+    b = 2**53
+    g = bigraph_from_arcs(4, [(0, 1, 1, 0), (1, 3, 0, b + 4), (0, 2, 2, 0), (2, 3, 0, b + 3)])
+    h = compute_heuristics(g, 3)
+    reference = exact_frontier(g, 0, 3)
+    lex = boa_search(g, h, 0, 3).solution_costs()
+    paired = ppa_search(g, h, 0, 3).solution_costs()
+    one_cost = check_approx_frontier([CostVec(1, b + 4)], reference, ApproxFactor())
+    check(
+        "with costs above 2^53 both exact engines return both frontier costs, "
+        "and the checker rejects the one-cost answer at zero slack",
+        list(reference) == lex == paired == [CostVec(1, b + 4), CostVec(2, b + 3)]
+        and not one_cost.ok,
+        f"oracle {list(reference)}, boa {lex}, ppa {paired}, one-cost ok {one_cost.ok}",
+    )
+
+
+def test_exact_engines_agree_with_costs_above_2_53():
+    b = 2**53
+    t0 = time.perf_counter()
+    disagreements = []
+    for seed, g, s, t in seeded_instances():
+        g = bigraph_from_arcs(
+            g.vertex_count,
+            [(u, v, c1 + b, c2 + b) for u in range(g.vertex_count) for v, (c1, c2) in g.edges[u]],
+        )
+        h = compute_heuristics(g, t)
+        reference = list(exact_frontier(g, s, t))
+        lex = boa_search(g, h, s, t).solution_costs()
+        paired = ppa_search(g, h, s, t).solution_costs()
+        if not (reference == lex == paired):
+            disagreements.append(seed)
+    elapsed = time.perf_counter() - t0
+    check(
+        f"zero-slack frontiers identical across all three engines on {N_INSTANCES} "
+        f"instances with every arc cost shifted by 2^53, in {elapsed:.2f}s",
+        not disagreements,
+        f"disagreeing seeds {disagreements[:5]}",
+    )
+
+
 def _run_all() -> int:
     steps = [
         test_exact_engines_agree_on_seeded_instances,
@@ -254,6 +297,8 @@ def _run_all() -> int:
         test_solution_counts_shrink_as_slack_grows,
         test_road_network_smoke,
         test_uniform_slack_three_collapses_hand_graph,
+        test_zero_slack_stays_exact_above_2_53,
+        test_exact_engines_agree_with_costs_above_2_53,
     ]
     passed = failed = skipped = 0
     for step in steps:

@@ -1,11 +1,14 @@
 """Backward-distance tables: hand values, admissibility, consistency, caching."""
 
+import hashlib
 import heapq
 import pickle
 import random
+import types
 
 import pytest
 
+import biroute.heuristics as heuristics_module
 from biroute import (
     UNREACHABLE,
     HeuristicTable,
@@ -14,6 +17,7 @@ from biroute import (
     graph_digest,
     load_or_compute_heuristics,
 )
+from conftest import G1_ARCS
 
 
 def forward_dijkstra(adjacency, source, component):
@@ -136,3 +140,48 @@ class TestCache:
             4, [(0, 1, 1, 4), (1, 3, 1, 4), (0, 2, 4, 1), (2, 3, 4, 1), (0, 3, 9, 8)]
         )
         assert graph_digest(g1) != graph_digest(other)
+
+
+class TestDigestMemo:
+    def test_digest_is_pinned(self):
+        # Cache keys embed this hash; a change would orphan every entry.
+        assert graph_digest(bigraph_from_arcs(4, G1_ARCS)) == (
+            "0b2bb4171c8f2273d57b763181902187077a57924ccb023b477427d97790f9ab"
+        )
+
+    def test_repeated_cache_calls_hash_the_graph_once(self, g1, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_sha256(*args):
+            calls.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(
+            heuristics_module, "hashlib", types.SimpleNamespace(sha256=counting_sha256)
+        )
+        for _ in range(3):  # a miss, then two hits
+            h = load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
+        load_or_compute_heuristics(g1, 0, cache_dir=tmp_path)
+        assert h.h1 == [2, 1, 4, 0]
+        assert len(list(tmp_path.iterdir())) == 2
+        assert len(calls) == 1
+
+    def test_equal_graph_built_apart_reads_the_same_entry(self, g1, tmp_path, monkeypatch):
+        fresh = load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
+        twin = bigraph_from_arcs(4, G1_ARCS)
+        assert twin is not g1 and graph_digest(twin) == graph_digest(g1)
+
+        def no_compute(*args):
+            raise AssertionError("cache entry was not read")
+
+        monkeypatch.setattr(heuristics_module, "compute_heuristics", no_compute)
+        cached = load_or_compute_heuristics(twin, 3, cache_dir=tmp_path)
+        assert cached == fresh
+        assert len(list(tmp_path.iterdir())) == 1
+
+    def test_equality_and_repr_ignore_the_digest(self, g1):
+        twin = bigraph_from_arcs(4, G1_ARCS)
+        before = repr(g1)
+        graph_digest(g1)
+        assert g1 == twin and repr(g1) == repr(twin) == before
+        assert "digest" not in before

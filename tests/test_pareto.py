@@ -63,6 +63,14 @@ class TestDominance:
     def test_approx_boundary_is_inclusive(self):
         assert approx_dominates(CostVec(11, 1), CostVec(10, 1), ApproxFactor(0.1, 0))
 
+    def test_zero_factor_stays_exact_above_2_53(self):
+        # float(B + 3) rounds to B + 4, so a float zero slack would let
+        # B + 4 pass for B + 3.
+        b = 2**53
+        assert not approx_dominates(CostVec(0, b + 4), CostVec(0, b + 3), EXACT)
+        assert not approx_dominates(CostVec(b + 4, 0), CostVec(b + 3, 0), EXACT)
+        assert approx_dominates(CostVec(b + 3, b + 3), CostVec(b + 3, b + 3), EXACT)
+
     @settings(max_examples=200, deadline=None)
     @given(costs, costs)
     def test_zero_factor_matches_weak_dominance(self, p, q):
@@ -108,6 +116,12 @@ class TestPathPair:
         assert is_bounded(pp, EXACT)
         qq = self.pair((0, 6), (1, 5))
         assert not is_bounded(qq, ApproxFactor(10, 0.2))
+
+    def test_zero_slack_stays_exact_above_2_53(self):
+        b = 2**53
+        assert not is_bounded(self.pair((b + 3, 5), (b + 4, 5)), EXACT)
+        assert not is_bounded(self.pair((5, b + 4), (5, b + 3)), EXACT)
+        assert is_bounded(self.pair((b + 3, 5), (b + 4, 5)), ApproxFactor(0.5, 0))
 
     def test_extend_adds_edge_cost_to_both(self):
         # A cost-degenerate pair extends into a single arena node.
