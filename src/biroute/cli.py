@@ -201,6 +201,14 @@ def cmd_bench(parser: _Parser, args) -> int:
 def cmd_verify(parser: _Parser, args) -> int:
     if args.instances < 0:
         parser.error("--instances must be nonnegative")
+    for flag, value, least in (
+        ("--max-n", args.max_n, 1),
+        ("--max-cost", args.max_cost, 1),
+        ("--max-degree", args.max_degree, 0),
+        ("--label-budget", args.label_budget, 1),
+    ):
+        if value < least:
+            parser.error(f"{flag} must be at least {least}, got {value}")
     eps_grid = tuple(ApproxFactor.uniform(e) for e in args.eps_grid)
     summary = verify_run(
         args.instances,

@@ -50,22 +50,28 @@ class ArcMismatchError(ValueError):
 class BiGraph:
     """Directed graph with a CostVec per arc and a prebuilt reverse adjacency.
 
-    ``edges[u]`` lists the outgoing arcs of ``u`` and ``reverse_edges[v]``
-    lists the same arcs flipped, so backward searches need no transposition
-    at query time. Vertex ids are dense integers in ``[0, vertex_count)``.
-    Parallel arcs and self loops are kept as given.
+    ``edges[u]`` lists the outgoing arcs of ``u`` as ``Edge``s. Vertex ids
+    are dense integers in ``[0, vertex_count)``. Parallel arcs and self
+    loops are kept as given.
+
+    ``reverse_edges[v]`` lists the arcs entering ``v`` as plain
+    ``(source, c1, c2)`` int tuples, so backward searches need no
+    transposition at query time and a cost component number (1 or 2)
+    indexes its cost directly: ``arc[component]``.
 
     The graph is immutable after construction: ``reverse_edges`` is derived
     once, here, and the content digest once, on the first
     ``heuristics.graph_digest`` call, which keeps it in ``_digest``.
     Mutating ``edges`` afterwards already leaves ``reverse_edges`` (and so
     every heuristic table) stale; the kept digest goes stale with them.
-    The digest takes no part in equality or repr.
+    Neither derived field takes part in the constructor, equality or repr.
     """
 
     vertex_count: int
     edges: list[list[Edge]]
-    reverse_edges: list[list[Edge]] = field(default_factory=list)
+    reverse_edges: list[list[tuple[int, int, int]]] = field(
+        init=False, repr=False, compare=False
+    )
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -76,26 +82,19 @@ class BiGraph:
                 f"adjacency has {len(self.edges)} rows for "
                 f"{self.vertex_count} vertices"
             )
+        n = self.vertex_count
+        rev: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for u, adj in enumerate(self.edges):
-            for edge in adj:
-                if not (0 <= edge.target < self.vertex_count):
-                    raise ValueError(
-                        f"arc {u}->{edge.target} leaves [0, {self.vertex_count})"
-                    )
-        if not self.reverse_edges:
-            self.reverse_edges = _transpose(self.vertex_count, self.edges)
+            for target, (c1, c2) in adj:
+                # Check before indexing: a negative target would wrap.
+                if not (0 <= target < n):
+                    raise ValueError(f"arc {u}->{target} leaves [0, {n})")
+                rev[target].append((u, c1, c2))
+        self.reverse_edges = rev
 
     @property
     def edge_count(self) -> int:
         return sum(len(adj) for adj in self.edges)
-
-
-def _transpose(n: int, edges: list[list[Edge]]) -> list[list[Edge]]:
-    rev: list[list[Edge]] = [[] for _ in range(n)]
-    for u in range(n):
-        for target, cost in edges[u]:
-            rev[target].append(Edge(u, cost))
-    return rev
 
 
 def parse_dimacs_gr(stream: TextIO) -> tuple[int, list[tuple[int, int, int]]]:

@@ -53,19 +53,29 @@ def validate_query(g: BiGraph, h: HeuristicTable, start: int, goal: int) -> None
 
 
 def _backward_dijkstra(g: BiGraph, goal: int, component: int) -> list[int | float]:
-    dist: list[int | float] = [UNREACHABLE] * g.vertex_count
+    """Exact distances to ``goal`` in cost component ``component`` (1 or 2).
+
+    The heap holds one int per entry, ``d * n + v``, popped back with
+    ``divmod(key, n)``. Since ``0 <= v < n``, int order on the keys is
+    tuple order on ``(d, v)``, so vertices pop in the same order as with
+    ``(d, v)`` tuples. Python ints are unbounded, so the key stays exact
+    for any cost, above 2^53 and 2^63 included.
+    """
+    n = g.vertex_count
+    dist: list[int | float] = [UNREACHABLE] * n
     dist[goal] = 0
-    heap: list[tuple[int, int]] = [(0, goal)]
+    heap = [goal]
     reverse_edges = g.reverse_edges
     while heap:
-        d, v = heapq.heappop(heap)
+        d, v = divmod(heapq.heappop(heap), n)
         if d > dist[v]:
             continue
-        for source, cost in reverse_edges[v]:
-            nd = d + (cost.c1 if component == 1 else cost.c2)
+        for arc in reverse_edges[v]:
+            nd = d + arc[component]
+            source = arc[0]
             if nd < dist[source]:
                 dist[source] = nd
-                heapq.heappush(heap, (nd, source))
+                heapq.heappush(heap, nd * n + source)
     return dist
 
 
@@ -104,7 +114,9 @@ def load_or_compute_heuristics(
     Cache entries are keyed by (graph content hash, goal), so a stale file
     from a different graph can never be returned for this one. A missing,
     unreadable or misshapen entry is recomputed and rewritten, through a
-    temp file of its own so that concurrent writers never clash.
+    temp file of its own so that concurrent writers never clash. A cache
+    that cannot be written (any OSError while creating the directory or
+    writing the entry) leaves the table uncached; the table is returned.
     """
     if cache_dir is None:
         return compute_heuristics(g, goal)
@@ -122,13 +134,16 @@ def load_or_compute_heuristics(
     ):
         return table
     table = compute_heuristics(g, goal)
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=cache_path.parent, prefix=cache_path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(table, fh)
-        os.replace(tmp_name, cache_path)
-    except BaseException:
-        os.unlink(tmp_name)
-        raise
+        cache_path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=cache_path.parent, prefix=cache_path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(table, fh)
+            os.replace(tmp_name, cache_path)
+        except BaseException:
+            os.unlink(tmp_name)
+            raise
+    except OSError:
+        pass  # an unwritable cache only costs the next call a recompute
     return table

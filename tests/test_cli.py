@@ -63,6 +63,18 @@ class TestSolve:
         doc = solve_json(capsys, g1_files, "--eps1", "0.5", "--eps2", "0.25")
         assert (doc["eps1"], doc["eps2"]) == (0.5, 0.25)
 
+    def test_unwritable_h_cache_still_answers(self, capsys, g1_files, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        docs = [
+            solve_json(capsys, g1_files, "--paths"),
+            solve_json(capsys, g1_files, "--paths", "--h-cache", str(blocker)),
+        ]
+        for doc in docs:  # the two timings differ from run to run
+            del doc["time_ms"], doc["heuristic_ms"]
+        assert docs[1] == docs[0]
+        assert blocker.read_text() == "not a directory\n"
+
     def test_gzipped_input(self, capsys, g1, tmp_path):
         import gzip
 
@@ -279,6 +291,30 @@ class TestVerifyCommand:
         cells = [line for line in out.splitlines() if line.startswith("eps=")]
         # Two slack settings x two engines.
         assert len(cells) == 4
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-n", "0"),
+            ("--max-cost", "0"),
+            ("--max-degree", "-1"),
+            ("--label-budget", "0"),
+        ],
+    )
+    def test_bad_generator_flag_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "verify", "--instances", "2", flag, value)
+        assert code == EXIT_USAGE
+        assert err.startswith("usage:")
+        assert f"{flag} must be at least" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_smallest_generator_flags_are_accepted(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--instances", "2", "--max-n", "1", "--max-cost", "1",
+            "--max-degree", "0", "--label-budget", "1",
+        )
+        assert code == EXIT_OK, err
+        assert "instances checked: 2/2" in out
 
 
 class TestLibraryBench:

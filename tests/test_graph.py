@@ -2,6 +2,7 @@
 
 import gzip
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from biroute import (
     parse_dimacs_gr,
     write_gr_pair,
 )
-from biroute.graph import dimacs_lines, load_gr
+from biroute.graph import Edge, dimacs_lines, load_gr
+from conftest import G1_ARCS
 
 
 def parse_text(text: str):
@@ -182,10 +184,34 @@ class TestRoundTrip:
 
 
 class TestReverse:
-    def test_reverse_edges_swap_endpoints(self, g1):
-        fwd = {(u, e.target, e.cost) for u in range(4) for e in g1.edges[u]}
-        bwd = {(e.target, u, e.cost) for u in range(4) for e in g1.reverse_edges[u]}
-        assert fwd == bwd
+    def test_reverse_edges_swap_endpoints(self):
+        # G1, then G1 plus a doubled arc, a parallel arc with other costs
+        # and a self loop: a set compare would miss a lost or extra copy.
+        for arcs in (G1_ARCS, G1_ARCS + [(0, 1, 1, 4), (0, 1, 2, 3), (2, 2, 0, 5)]):
+            g = bigraph_from_arcs(4, arcs)
+            fwd = Counter(
+                (u, e.target, e.cost.c1, e.cost.c2) for u in range(4) for e in g.edges[u]
+            )
+            bwd = Counter(
+                (source, v, c1, c2)
+                for v in range(4)
+                for source, c1, c2 in g.reverse_edges[v]
+            )
+            assert fwd == bwd == Counter(arcs)
+            for adj in g.reverse_edges:
+                for arc in adj:
+                    assert type(arc) is tuple and len(arc) == 3
+                    assert all(type(x) is int for x in arc)
+
+    def test_equality_and_repr_ignore_reverse_edges(self, g1):
+        twin = bigraph_from_arcs(4, G1_ARCS)
+        twin.reverse_edges = [[] for _ in range(4)]
+        assert g1 == twin and repr(g1) == repr(twin)
+        assert "reverse_edges" not in repr(g1)
+
+    def test_reverse_edges_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            BiGraph(vertex_count=0, edges=[], reverse_edges=[])
 
     def test_edge_count(self, g1):
         assert g1.edge_count == 5
@@ -203,6 +229,18 @@ class TestValidation:
     def test_arc_endpoint_out_of_range(self):
         with pytest.raises(ValueError):
             bigraph_from_arcs(2, [(0, 2, 1, 1)])
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_arc_target_out_of_range(self, target):
+        # The check runs before the reverse adjacency is indexed, so a
+        # negative target cannot wrap around to the last vertex.
+        with pytest.raises(ValueError, match=f"arc 1->{target} leaves"):
+            bigraph_from_arcs(3, [(0, 1, 1, 1), (1, target, 1, 1)])
+        with pytest.raises(ValueError, match=f"arc 1->{target} leaves"):
+            BiGraph(
+                vertex_count=3,
+                edges=[[], [Edge(target, CostVec(1, 1))], []],
+            )
 
     @pytest.mark.parametrize("source", [-1, 3])
     def test_arc_source_out_of_range(self, source):

@@ -2,6 +2,7 @@
 
 import hashlib
 import heapq
+import os
 import pickle
 import random
 import types
@@ -11,6 +12,7 @@ import pytest
 import biroute.heuristics as heuristics_module
 from biroute import (
     UNREACHABLE,
+    Edge,
     HeuristicTable,
     bigraph_from_arcs,
     compute_heuristics,
@@ -36,6 +38,16 @@ def forward_dijkstra(adjacency, source, component):
                 dist[e.target] = d + w
                 heapq.heappush(heap, (d + w, e.target))
     return dist
+
+
+def transposed(g):
+    # The reference transposition, built from the forward arcs here so
+    # that it shares no code with the reverse adjacency under test.
+    rev = [[] for _ in range(g.vertex_count)]
+    for u in range(g.vertex_count):
+        for e in g.edges[u]:
+            rev[e.target].append(Edge(u, e.cost))
+    return rev
 
 
 def random_graph(rng):
@@ -80,8 +92,35 @@ class TestAgainstForwardDijkstra:
             g = random_graph(rng)
             goal = rng.randrange(g.vertex_count)
             h = compute_heuristics(g, goal)
-            assert h.h1 == forward_dijkstra(g.reverse_edges, goal, 0)
-            assert h.h2 == forward_dijkstra(g.reverse_edges, goal, 1)
+            rev = transposed(g)
+            assert h.h1 == forward_dijkstra(rev, goal, 0)
+            assert h.h2 == forward_dijkstra(rev, goal, 1)
+
+    def test_costs_above_2_62_stay_exact(self):
+        # Heap keys d * n + v exceed 2^63 here; ints keep them exact.
+        big = 2**62
+
+        def shifted(g):
+            return bigraph_from_arcs(g.vertex_count, [
+                (u, e.target, e.cost.c1 + big, e.cost.c2 + big)
+                for u in range(g.vertex_count) for e in g.edges[u]
+            ])
+
+        rng = random.Random(3)
+        # Random graphs add multi-hop distances, where a rounded key or
+        # distance would lose the low bits.
+        graphs = [shifted(bigraph_from_arcs(4, G1_ARCS))]
+        graphs += [shifted(random_graph(rng)) for _ in range(50)]
+        # One shift per arc makes the direct arc 0->3 the cheapest in both.
+        h = compute_heuristics(graphs[0], 3)
+        assert h.h1 == [9 + big, 1 + big, 4 + big, 0]
+        assert h.h2 == [9 + big, 4 + big, 1 + big, 0]
+        for g in graphs:
+            rev = transposed(g)
+            for goal in range(g.vertex_count):
+                h = compute_heuristics(g, goal)
+                assert h.h1 == forward_dijkstra(rev, goal, 0)
+                assert h.h2 == forward_dijkstra(rev, goal, 1)
 
 
 class TestConsistency:
@@ -133,6 +172,46 @@ class TestCache:
     def test_no_cache_dir_means_no_files(self, g1, tmp_path):
         h = load_or_compute_heuristics(g1, 3, cache_dir=None)
         assert h.h1 == [2, 1, 4, 0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_dir_that_is_a_file_leaves_the_table_uncached(self, g1, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"not a directory\n")
+        h = load_or_compute_heuristics(g1, 3, cache_dir=blocker)
+        assert h == compute_heuristics(g1, 3)
+        assert blocker.read_bytes() == b"not a directory\n"
+        assert list(tmp_path.iterdir()) == [blocker]
+
+    @pytest.mark.parametrize("step", ["mkstemp", "write", "replace"])
+    def test_write_error_leaves_the_table_uncached(self, g1, tmp_path, monkeypatch, step):
+        def fail(*args, **kwargs):
+            raise PermissionError(13, "simulated", step)
+
+        patched = {
+            "mkstemp": ("tempfile", types.SimpleNamespace(mkstemp=fail)),
+            "write": ("pickle", types.SimpleNamespace(load=pickle.load, dump=fail)),
+            "replace": (
+                "os",
+                types.SimpleNamespace(fdopen=os.fdopen, replace=fail, unlink=os.unlink),
+            ),
+        }
+        monkeypatch.setattr(heuristics_module, *patched[step])
+        h = load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
+        assert h == compute_heuristics(g1, 3)
+        # A temp file that was created is unlinked again.
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupt_during_write_still_raises(self, g1, tmp_path, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            heuristics_module,
+            "os",
+            types.SimpleNamespace(fdopen=os.fdopen, replace=interrupt, unlink=os.unlink),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_digest_sensitive_to_costs(self, g1):
