@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 from .bench import bench_run, render_csv, solve_query, verify_run
 from .graph import ArcMismatchError, BiGraph, DimacsParseError, load_bigraph
@@ -91,7 +92,7 @@ def build_parser() -> _Parser:
         "--paths", action="store_true", help="include full vertex sequences"
     )
     solve.add_argument("--h-cache", help="directory for cached heuristic tables")
-    solve.set_defaults(func=cmd_solve)
+    solve.set_defaults(func=partial(cmd_solve, solve))
 
     bench = subparsers.add_parser("bench", help="run a seeded benchmark, emit CSV")
     bench.add_argument("--gr1", required=True)
@@ -109,7 +110,7 @@ def build_parser() -> _Parser:
     bench.add_argument("--out", help="CSV output path (default stdout)")
     bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--h-cache", help="directory for cached heuristic tables")
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=partial(cmd_bench, bench))
 
     verify = subparsers.add_parser(
         "verify", help="cross-check engines against the oracle on random instances"
@@ -123,7 +124,7 @@ def build_parser() -> _Parser:
     verify.add_argument("--max-degree", type=int, default=4)
     verify.add_argument("--max-cost", type=int, default=10)
     verify.add_argument("--label-budget", type=int, default=100_000)
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=partial(cmd_verify, verify))
 
     return parser
 
@@ -243,7 +244,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.error("a subcommand is required (solve, bench, verify)")
-    return args.func(parser, args)
+    # Each command holds its own subparser, so errors print its usage line.
+    return args.func(args)
 
 
 if __name__ == "__main__":

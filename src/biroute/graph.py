@@ -5,13 +5,37 @@ over the same arc list: one carrying the first cost component (e.g.
 distance), one carrying the second (e.g. travel time). This module parses
 the files, pairs them arc-by-arc, and builds the in-memory graph used by
 every search routine in the package.
+
+The line parser, ``parse_dimacs_gr``, is the one definition of the format
+and of its errors. ``load_bigraph`` first tries a fast path on the layout
+of the 9th DIMACS Challenge maps: ``c`` comment lines and the ``p sp n m``
+line, then nothing but ``a <digits> <digits> <digits>`` lines, each ended
+by a newline. It reads each file once as bytes, checks and parses the arc
+block in chunks of about 8 KB with one regex match per chunk, and keeps
+the numbers in one flat ``array('q')`` per file. When the two files list
+the same ``(u, v)`` columns, arcs are bucketed by source in file order and
+each row is stable-sorted by target, which pairs them exactly as
+``build_bigraph`` does. Any other file goes to the line parser and
+``build_bigraph``: a blank or comment line among the arcs, CRLF line ends,
+a sign, an underscore or more than 18 digits in a number, a missing final
+newline, an id outside ``[1, n]``, an arc count differing from the problem
+line's, unequal ``n``, or ``(u, v)`` columns that differ between the files.
+Both paths give equal graphs, and every error with its message and line
+number comes from that second path. Files are ASCII: a non-ASCII byte, or a
+truncated or corrupt gzip stream, raises DimacsParseError.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import re
+import zlib
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 
@@ -30,6 +54,12 @@ class Edge(NamedTuple):
 
     target: int
     cost: CostVec
+
+
+# Build NamedTuples from an iterable without their Python-level __new__.
+_edge = partial(tuple.__new__, Edge)
+_cost = partial(tuple.__new__, CostVec)
+_target = itemgetter(0)
 
 
 class DimacsParseError(ValueError):
@@ -150,22 +180,99 @@ def parse_dimacs_gr(stream: TextIO) -> tuple[int, list[tuple[int, int, int]]]:
     return n, arcs
 
 
-def open_gr(path: str) -> TextIO:
-    """Open a .gr file for reading, transparently decompressing gzip.
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
 
-    Compression is detected from the two magic bytes, not the file name.
+
+def _read_gr(path: str) -> bytes:
+    """Read a .gr file as bytes, gunzipped if it starts with the gzip magic.
+
+    Compression is detected from the two magic bytes, not the file name. A
+    truncated or corrupt gzip stream raises DimacsParseError.
     """
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    if magic == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="ascii")
-    return open(path, "r", encoding="ascii")
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:2] != b"\x1f\x8b":
+        return data
+    try:
+        return gzip.decompress(data)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DimacsParseError(f"corrupt gzip data: {exc}") from None
+
+
+def _parse_gr_bytes(data: bytes) -> tuple[int, list[tuple[int, int, int]]]:
+    """Run the line parser on a file's bytes; a non-ASCII byte names its line."""
+    if not data.isascii():
+        at = _NON_ASCII.search(data).start()
+        # The sentinel joins a partial last line or starts a new one, so
+        # the count is the offending line's number under universal newlines.
+        line_no = len((data[:at] + b"x").splitlines())
+        raise DimacsParseError(f"non-ASCII byte 0x{data[at]:02x}", line_no)
+    # Streamed line by line: the bytes are not decoded into one string.
+    return parse_dimacs_gr(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
 
 
 def load_gr(path: str) -> tuple[int, list[tuple[int, int, int]]]:
-    """Parse the .gr (or gzipped .gr) file at ``path``."""
-    with open_gr(path) as stream:
-        return parse_dimacs_gr(stream)
+    """Parse the .gr (or gzipped .gr) file at ``path`` with the line parser."""
+    return _parse_gr_bytes(_read_gr(path))
+
+
+# Comments and the problem line before the first arc line. A comment holds
+# no line break: the line parser also ends a line at a lone CR.
+_HEADER = re.compile(
+    rb"(?:c[^\r\n\x80-\xff]*\n)*p sp ([0-9]+) ([0-9]+)\n(?:c[^\r\n\x80-\xff]*\n)*"
+)
+# At most 18 digits, so every number fits an array('q'). Matched one chunk
+# at a time: sre keeps a stack entry per repetition, so one match over the
+# 89,400 arc lines of the 150x150 benchmark map raises peak RSS by ~20 MB,
+# and a 64 KB chunk still by ~1.6 MB more than an 8 KB one.
+_CHUNK = 1 << 13
+_ARC_LINES = re.compile(rb"(?:a [0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)*")
+
+
+def _scan_gr(data: bytes) -> tuple[int, array, array, array] | None:
+    """Columns ``(n, sources, targets, weights)`` of a Challenge-layout file.
+
+    Ids stay 1-based. Returns None for any file outside the fast path's
+    layout or with an id outside ``[1, n]`` or a wrong arc count; on every
+    other file the line parser returns the same ``n`` and arcs.
+    """
+    head = _HEADER.match(data)
+    if head is None:
+        return None
+    n, m = int(head[1]), int(head[2])
+    numbers = array("q")
+    start, end = head.end(), len(data)
+    while start < end:
+        cut = data.rfind(b"\n", start, start + _CHUNK) + 1
+        if cut <= start or not _ARC_LINES.fullmatch(data, start, cut):
+            return None
+        tokens = data[start:cut].split()
+        del tokens[::4]  # the "a" of each line
+        numbers.fromlist(list(map(int, tokens)))
+        start = cut
+    if len(numbers) != 3 * m:
+        return None
+    sources, targets = numbers[0::3], numbers[1::3]
+    for ids in (sources, targets):
+        if m and not (min(ids) >= 1 and max(ids) <= n):
+            return None
+    return n, sources, targets, numbers[2::3]
+
+
+def _rows(n: int, sources: Iterable[int], items: Iterable[tuple]) -> list[list]:
+    """Bucket ``items`` by 0-based source in input order, then stable-sort
+    each row by ``item[0]``, the target.
+
+    This pairs arc for arc as a global stable sort by ``(source, target)``
+    would. Every source must lie in ``[0, n)``: a negative one would wrap.
+    """
+    rows: list[list] = [[] for _ in range(n)]
+    # rows[u].append(item) for each pair, run by map at C speed.
+    deque(map(list.append, map(rows.__getitem__, sources), items), maxlen=0)
+    for row in rows:
+        if len(row) > 1:
+            row.sort(key=_target)
+    return rows
 
 
 def build_bigraph(
@@ -231,9 +338,27 @@ def write_gr_pair(g: BiGraph, path1: str, path2: str) -> None:
 
 
 def load_bigraph(path1: str, path2: str) -> BiGraph:
-    """Load and pair the two .gr files of a bi-criteria instance."""
-    n1, arcs1 = load_gr(path1)
-    n2, arcs2 = load_gr(path2)
+    """Load and pair the two .gr files of a bi-criteria instance.
+
+    Files in the Challenge layout with equal ``(u, v)`` columns take the
+    fast path; any other pair, and every error, goes through ``load_gr``'s
+    line parser and ``build_bigraph``. Both give equal graphs.
+    """
+    data1 = _read_gr(path1)
+    scan1 = _scan_gr(data1)
+    data2 = None
+    if scan1 is not None:
+        data2 = _read_gr(path2)
+        scan2 = _scan_gr(data2)
+        if scan2 is not None and scan1[:3] == scan2[:3]:
+            n, sources, targets, w1 = scan1
+            zero_based = (-1).__add__
+            edges = map(
+                _edge, zip(map(zero_based, targets), map(_cost, zip(w1, scan2[3])))
+            )
+            return BiGraph(vertex_count=n, edges=_rows(n, map(zero_based, sources), edges))
+    n1, arcs1 = _parse_gr_bytes(data1)
+    n2, arcs2 = _parse_gr_bytes(_read_gr(path2) if data2 is None else data2)
     if n1 != n2:
         raise ArcMismatchError(f"vertex count mismatch: {n1} vs {n2}")
     return build_bigraph(n1, arcs1, arcs2)

@@ -1,8 +1,10 @@
 """Command-line surface: solve/bench/verify, exit codes, CSV output."""
 
 import csv
+import gzip
 import io
 import json
+import zlib
 
 import pytest
 
@@ -76,8 +78,6 @@ class TestSolve:
         assert blocker.read_text() == "not a directory\n"
 
     def test_gzipped_input(self, capsys, g1, tmp_path):
-        import gzip
-
         p1, p2 = tmp_path / "a.gr.gz", tmp_path / "b.gr.gz"
         write_gr_pair(g1, tmp_path / "a.gr", tmp_path / "b.gr")
         p1.write_bytes(gzip.compress((tmp_path / "a.gr").read_bytes()))
@@ -155,6 +155,50 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
         assert "data error" in err
+
+    @pytest.mark.parametrize(
+        "damage, cause",
+        [
+            ("non_ascii", UnicodeDecodeError),
+            ("truncated_gzip", EOFError),
+            ("corrupt_gzip", zlib.error),
+        ],
+    )
+    def test_bad_graph_bytes_are_data_errors(self, capsys, g1_files, tmp_path, damage, cause):
+        p1, p2 = g1_files
+        text = p1.read_bytes()
+        packed = gzip.compress(text)
+        bad = {
+            "non_ascii": "c \u00a9 2026\n".encode() + text,
+            "truncated_gzip": packed[: len(packed) // 2],
+            "corrupt_gzip": packed[:10] + b"\xff" * 8 + packed[18:],
+        }[damage]
+        # The damage is the kind named: reading the bytes raises ``cause``.
+        with pytest.raises(cause):
+            bad.decode("ascii") if damage == "non_ascii" else gzip.decompress(bad)
+        path = tmp_path / "bad.gr"
+        path.write_bytes(bad)
+        code, out, err = run_cli(
+            capsys, "solve", "--gr1", str(path), "--gr2", str(p2),
+            "--source", "1", "--target", "4",
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("biroute: data error: ")
+        assert "Traceback" not in err and out == ""
+        if damage == "non_ascii":
+            assert "line 1: non-ASCII byte 0xc2" in err
+
+    def test_usage_line_names_the_subcommand(self, capsys, g1_files):
+        p1, p2 = g1_files
+        files = ["--gr1", str(p1), "--gr2", str(p2)]
+        for argv in (
+            ["verify", "--max-n", "0"],
+            ["solve", *files, "--source", "1", "--target", "4", "--eps", "1", "--eps1", "1"],
+            ["bench", *files, "--queries", "-1"],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert err.startswith(f"usage: biroute {argv[0]} ")
 
     def test_mismatched_pair_is_data_error(self, capsys, tmp_path):
         p1, p2 = tmp_path / "x.gr", tmp_path / "y.gr"
