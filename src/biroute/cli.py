@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from functools import partial
 
 from .bench import bench_run, render_csv, solve_query, verify_run
@@ -181,21 +182,22 @@ def cmd_bench(parser: _Parser, args) -> int:
         parser.error("--queries must be nonnegative")
     if args.workers < 1:
         parser.error("--workers must be positive")
-    loaded = _load_graph(parser, args.gr1, args.gr2)
-    if isinstance(loaded, int):
-        return loaded
-    g = loaded
-    eps_grid = tuple(ApproxFactor.uniform(e) for e in args.eps_grid)
-    reports = bench_run(
-        g, args.queries, args.seed, eps_grid, args.algs,
-        workers=args.workers, h_cache_dir=args.h_cache,
-    )
-    csv_text = render_csv(reports)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as out:
-            out.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    # Open --out before the run, as a shell redirection would, so that a
+    # path that cannot be written fails before any work is done.
+    try:
+        out = open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        parser.error(f"cannot write --out file: {exc}")
+    with out as stream:
+        loaded = _load_graph(parser, args.gr1, args.gr2)
+        if isinstance(loaded, int):
+            return loaded
+        eps_grid = tuple(ApproxFactor.uniform(e) for e in args.eps_grid)
+        reports = bench_run(
+            loaded, args.queries, args.seed, eps_grid, args.algs,
+            workers=args.workers, h_cache_dir=args.h_cache,
+        )
+        stream.write(render_csv(reports))
     return EXIT_OK
 
 

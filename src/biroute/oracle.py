@@ -4,7 +4,13 @@ The oracle is an intentionally plain label-correcting search with full
 per-vertex dominance filtering: no heuristic, no pruning against the goal,
 no approximation. It is slow but easy to trust, which makes it the
 independent referee for both search engines on instances small enough to
-enumerate.
+enumerate. Its loop works on plain ``(c1, c2)`` int pairs, with queue
+entries ``(vertex, c1, c2)`` and the dominance tests written inline; only
+the returned frontier is made of ``CostVec``. Labels are visited in FIFO
+order and every inserted label, the start label included, counts against
+the budget; ``biroute verify`` skips an instance whose count exceeds it.
+The checker compares plain tuples too, but every slack test goes through
+``approx_dominates``, the one definition of the slack comparison.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import BiGraph, CostVec, bigraph_from_arcs
-from .pareto import ApproxFactor, approx_dominates, pareto_filter, weakly_dominates
+from .pareto import ApproxFactor, approx_dominates, pareto_filter
 
 
 class LabelBudgetError(RuntimeError):
@@ -57,29 +63,38 @@ def exact_frontier(
     n = g.vertex_count
     if not (0 <= start < n and 0 <= goal < n):
         raise ValueError(f"endpoints ({start}, {goal}) outside [0, {n})")
-    labels: list[list[CostVec]] = [[] for _ in range(n)]
-    origin = CostVec(0, 0)
-    labels[start].append(origin)
+    edges = g.edges
+    labels: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    labels[start].append((0, 0))
     inserted = 1
-    queue: deque[tuple[int, CostVec]] = deque([(start, origin)])
+    queue: deque[tuple[int, int, int]] = deque([(start, 0, 0)])
+    pop, push = queue.popleft, queue.append
     while queue:
-        u, cost = queue.popleft()
-        if cost not in labels[u]:
+        u, c1, c2 = pop()
+        if (c1, c2) not in labels[u]:
             continue
-        for target, edge_cost in g.edges[u]:
-            candidate = cost + edge_cost
+        for target, (d1, d2) in edges[u]:
+            x1 = c1 + d1
+            x2 = c2 + d2
             bucket = labels[target]
-            if any(weakly_dominates(old, candidate) for old in bucket):
-                continue
-            bucket[:] = [old for old in bucket if not weakly_dominates(candidate, old)]
-            bucket.append(candidate)
-            inserted += 1
-            if inserted > label_budget:
-                raise LabelBudgetError(
-                    f"label budget of {label_budget} exceeded; instance too large"
-                )
-            queue.append((target, candidate))
-    return FrontierSet.from_costs(labels[goal])
+            # Drop the candidate if a label weakly dominates it; otherwise
+            # evict the labels it weakly dominates and insert it.
+            for o1, o2 in bucket:
+                if o1 <= x1 and o2 <= x2:
+                    break
+            else:
+                for o1, o2 in bucket:
+                    if x1 <= o1 and x2 <= o2:
+                        bucket[:] = [o for o in bucket if o[0] < x1 or o[1] < x2]
+                        break
+                bucket.append((x1, x2))
+                inserted += 1
+                if inserted > label_budget:
+                    raise LabelBudgetError(
+                        f"label budget of {label_budget} exceeded; instance too large"
+                    )
+                push((target, x1, x2))
+    return FrontierSet.from_costs(map(CostVec._make, labels[goal]))
 
 
 @dataclass
@@ -116,27 +131,33 @@ def check_approx_frontier(
     another. Candidates are deduplicated before checking. An empty
     candidate set passes only against an empty frontier.
     """
-    candidates = sorted(set(CostVec(*c) for c in candidate_costs))
-    uncovered = tuple(
-        p for p in exact.costs
-        if not any(approx_dominates(c, p, eps) for c in candidates)
-    )
-    dominated = tuple(
-        (victim, other)
-        for victim in candidates
-        for other in candidates
-        if victim != other and weakly_dominates(other, victim)
-    )
-    non_members = tuple(c for c in candidates if c not in exact)
+    candidates = sorted(set(map(CostVec._make, candidate_costs)))
+    uncovered = []
+    for p in exact.costs:
+        for c in candidates:
+            if approx_dominates(c, p, eps):
+                break
+        else:
+            uncovered.append(p)
+    # Candidates are distinct and sorted, so only an earlier one can
+    # weakly dominate a later one.
+    dominated = []
+    for i, victim in enumerate(candidates):
+        v1, v2 = victim
+        for other in candidates[:i]:
+            if other[0] <= v1 and other[1] <= v2:
+                dominated.append((victim, other))
+    members = set(exact.costs)
+    non_members = [c for c in candidates if c not in members]
     return ApproxCheckReport(
         eps=eps,
         coverage_ok=not uncovered,
-        uncovered=uncovered,
+        uncovered=tuple(uncovered),
         non_dominated_ok=not dominated,
-        dominated_pairs=dominated,
+        dominated_pairs=tuple(dominated),
         n_candidates=len(candidates),
         n_members=len(candidates) - len(non_members),
-        non_members=non_members,
+        non_members=tuple(non_members),
     )
 
 

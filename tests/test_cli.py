@@ -305,6 +305,25 @@ class TestBench:
         rows = [r for r in csv.DictReader(io.StringIO(text)) if r["source"]]
         assert len(rows) == 4  # 2 queries x 2 default algorithms
 
+    @pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+    def test_unwritable_out_is_usage_error_before_loading(
+        self, capsys, g1_files, tmp_path, monkeypatch, where
+    ):
+        def no_load(*args):
+            raise AssertionError("graph loaded before --out was checked")
+
+        monkeypatch.setattr("biroute.cli.load_bigraph", no_load)
+        p1, p2 = g1_files
+        out_path = tmp_path / "nodir" / "x.csv" if where == "missing_dir" else tmp_path
+        code, out, err = run_cli(
+            capsys, "bench", "--gr1", str(p1), "--gr2", str(p2),
+            "--queries", "1", "--out", str(out_path),
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("usage: biroute bench ")
+        assert "cannot write --out file" in err and str(out_path) in err
+        assert "Traceback" not in err and out == ""
+
     def test_summary_rows_present(self, capsys, g1_files):
         p1, p2 = g1_files
         _, out, _ = run_cli(

@@ -1,5 +1,7 @@
 """Reference frontier computation, instance generator, and the checker."""
 
+import random
+
 import pytest
 
 from biroute import (
@@ -11,9 +13,55 @@ from biroute import (
     bigraph_from_arcs,
     check_approx_frontier,
     exact_frontier,
+    pareto_filter,
     random_instance,
 )
 from biroute.oracle import FrontierSet
+
+
+def tiny_instance(seed):
+    """A seeded graph with at most 7 vertices and out-degree at most 3.
+
+    About a fifth of the arc costs are 0, a zero-cost 2-cycle is often
+    added, and every nonzero cost is shifted above 2**53 in half of the
+    graphs, where a float would round sums.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    shift = rng.choice((0, 2**53 + 1))
+
+    def cost():
+        return 0 if rng.random() < 0.2 else shift + rng.randint(1, 9)
+
+    arcs = [
+        (u, rng.randrange(n), cost(), cost())
+        for u in range(n)
+        for _ in range(rng.randint(1, 3))
+    ]
+    if n > 1 and rng.random() < 0.5:
+        u, v = rng.sample(range(n), 2)
+        arcs += [(u, v, 0, 0), (v, u, 0, 0)]
+    start, goal = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    return bigraph_from_arcs(n, arcs), start, goal
+
+
+def simple_path_costs(g, start, goal):
+    """The cost of every simple path from start to goal, by exhaustive search."""
+    costs = []
+    on_path = [False] * g.vertex_count
+
+    def extend(u, c1, c2):
+        if u == goal:
+            costs.append(CostVec(c1, c2))
+            return
+        on_path[u] = True
+        for target, (d1, d2) in g.edges[u]:
+            if not on_path[target]:
+                extend(target, c1 + d1, c2 + d2)
+        on_path[u] = False
+
+    extend(start, 0, 0)
+    return costs
 
 
 class TestExactFrontier:
@@ -42,6 +90,32 @@ class TestExactFrontier:
     def test_label_budget_enforced(self, g1):
         with pytest.raises(LabelBudgetError):
             exact_frontier(g1, 0, 3, label_budget=1)
+
+    def test_label_budget_boundary(self):
+        # The search inserts exactly 52 labels on this instance, the start
+        # label included; ``biroute verify`` skips a seed on this count.
+        g, s, t = random_instance(42)
+        assert list(exact_frontier(g, s, t, label_budget=52)) == [
+            CostVec(20, 29), CostVec(21, 23),
+        ]
+        with pytest.raises(LabelBudgetError) as info:
+            exact_frontier(g, s, t, label_budget=51)
+        assert str(info.value) == "label budget of 51 exceeded; instance too large"
+
+    def test_matches_brute_force_on_tiny_graphs(self):
+        # Costs are nonnegative, so a walk's cycles can only add cost and
+        # the frontier over simple paths is the whole frontier.
+        wide = shifted = 0
+        for seed in range(2000):
+            g, s, t = tiny_instance(seed)
+            expected = pareto_filter(simple_path_costs(g, s, t))
+            got = exact_frontier(g, s, t)
+            assert list(got) == expected, seed
+            assert all(type(c) is CostVec for c in got.costs)
+            wide += len(expected) > 1
+            shifted += any(c.c1 > 2**53 or c.c2 > 2**53 for c in expected)
+        # The family does reach multi-point frontiers and costs above 2**53.
+        assert wide > 100 and shifted > 300
 
     def test_zero_cost_cycle_terminates(self):
         g = bigraph_from_arcs(2, [(0, 0, 0, 0), (0, 1, 2, 3)])
