@@ -37,8 +37,6 @@ from .pareto import (
     approx_dominates,
     is_bounded,
     pareto_filter,
-    strictly_dominates,
-    weakly_dominates,
 )
 from .boa import boa_search
 from .ppa import ppa_search
@@ -80,8 +78,6 @@ __all__ = [
     "approx_dominates",
     "is_bounded",
     "pareto_filter",
-    "strictly_dominates",
-    "weakly_dominates",
     "boa_search",
     "ppa_search",
     "ApproxCheckReport",

@@ -12,7 +12,6 @@ Search time and heuristic-construction time are reported separately.
 After the data rows a benchmark appends, per (algorithm, eps1, eps2) in
 first-appearance order, three summary rows whose ``query_id`` column says
 ``avg``, ``min``, or ``max``; their endpoint and cost columns are empty.
-With a worker pool the rows are still emitted in query order.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .boa import boa_search
 from .graph import BiGraph, CostVec
 from .heuristics import HeuristicTable, load_or_compute_heuristics
 from .oracle import (
+    GenerationError,
     LabelBudgetError,
     check_approx_frontier,
     exact_frontier,
@@ -163,11 +163,13 @@ def solve_query(
     return report, result
 
 
+SAMPLE_DRAWS = 10_000
+
+
 def sample_queries(
     g: BiGraph,
     n_queries: int,
     seed: int,
-    retry_budget: int = 10_000,
     h_cache_dir: str | None = None,
 ) -> list[tuple[int, int, HeuristicTable, float]]:
     """Seeded uniform (start, goal, table, heuristic_ms) queries, goal reachable.
@@ -177,16 +179,20 @@ def sample_queries(
     then shared by every query to that goal along with the milliseconds
     that one load or build took. Draws that fail the check still consume
     the generator, keeping the sequence deterministic for a given seed.
+    Raises GenerationError when the graph has no vertices or
+    ``SAMPLE_DRAWS`` draws do not yield enough reachable queries.
     """
     rng = random.Random(seed)
     n = g.vertex_count
+    if n_queries > 0 and n == 0:
+        raise GenerationError("cannot sample queries from a graph with no vertices")
     tables: dict[int, tuple[HeuristicTable, float]] = {}
     queries: list[tuple[int, int, HeuristicTable, float]] = []
     attempts = 0
     while len(queries) < n_queries:
-        if attempts >= retry_budget:
-            raise RuntimeError(
-                f"could not sample {n_queries} reachable queries in {retry_budget} draws"
+        if attempts >= SAMPLE_DRAWS:
+            raise GenerationError(
+                f"could not sample {n_queries} reachable queries in {SAMPLE_DRAWS} draws"
             )
         attempts += 1
         start = rng.randrange(n)
@@ -201,66 +207,32 @@ def sample_queries(
     return queries
 
 
-def _query_rows(
-    g: BiGraph,
-    query_id: int,
-    query: tuple[int, int, HeuristicTable, float],
-    algorithms: tuple[str, ...],
-    eps_grid: tuple[ApproxFactor, ...],
-) -> list[QueryReport]:
-    start, goal, h, heuristic_ms = query
-    rows = []
-    for algorithm in algorithms:
-        for eps in eps_grid:
-            report, _ = solve_query(
-                g, start, goal, algorithm, eps,
-                query_id=query_id, h=h, heuristic_ms=heuristic_ms,
-            )
-            rows.append(report)
-    return rows
-
-
-_POOL_STATE: tuple | None = None
-
-
-def _pool_worker(query_id: int) -> list[QueryReport]:
-    assert _POOL_STATE is not None
-    g, queries, algorithms, eps_grid = _POOL_STATE
-    return _query_rows(g, query_id, queries[query_id], algorithms, eps_grid)
-
-
 def bench_run(
     g: BiGraph,
     n_queries: int,
     seed: int,
     eps_grid: tuple[ApproxFactor, ...],
     algorithms: tuple[str, ...],
-    workers: int = 1,
     h_cache_dir: str | None = None,
 ) -> list[QueryReport]:
     """Run the benchmark grid over seeded random queries, in query order."""
-    queries = sample_queries(g, n_queries, seed, h_cache_dir=h_cache_dir)
-    if workers <= 1:
-        batches = [
-            _query_rows(g, qid, query, algorithms, eps_grid)
-            for qid, query in enumerate(queries)
-        ]
-    else:
-        global _POOL_STATE
-        import multiprocessing
-
-        _POOL_STATE = (g, queries, algorithms, eps_grid)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                batches = pool.map(_pool_worker, range(len(queries)))
-        finally:
-            _POOL_STATE = None
-    return [row for batch in batches for row in batch]
+    rows = []
+    for query_id, (start, goal, h, heuristic_ms) in enumerate(
+        sample_queries(g, n_queries, seed, h_cache_dir=h_cache_dir)
+    ):
+        for algorithm in algorithms:
+            for eps in eps_grid:
+                report, _ = solve_query(
+                    g, start, goal, algorithm, eps,
+                    query_id=query_id, h=h, heuristic_ms=heuristic_ms,
+                )
+                rows.append(report)
+    return rows
 
 
 def _fmt_agg(value: float) -> str:
-    return f"{value:.6g}"
+    """Counts (ints) exactly, averages to six significant digits."""
+    return str(value) if isinstance(value, int) else f"{value:.6g}"
 
 
 def summary_rows(reports: list[QueryReport]) -> list[str]:
@@ -332,6 +304,9 @@ class VerifySummary:
         return not self.failures
 
 
+VERIFY_ALGORITHMS = ("boa_eps", "ppa")
+
+
 def verify_run(
     n_instances: int,
     seed: int,
@@ -340,7 +315,6 @@ def verify_run(
     out_degree_max: int = 4,
     cost_max: int = 10,
     label_budget: int = 100_000,
-    algorithms: tuple[str, ...] = ("boa_eps", "ppa"),
 ) -> VerifySummary:
     """Cross-check both engines against the oracle over random instances.
 
@@ -363,7 +337,7 @@ def verify_run(
         summary.instances_checked += 1
         h = load_or_compute_heuristics(g, goal)
         for eps in eps_grid:
-            for algorithm in algorithms:
+            for algorithm in VERIFY_ALGORITHMS:
                 result = run_engine(g, h, start, goal, algorithm, eps)
                 report = check_approx_frontier(result.solution_costs(), exact, eps)
                 cell = summary.cells.setdefault(

@@ -1,8 +1,9 @@
 """Command-line interface: solve one query, run a benchmark, or verify.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-inconsistent graph files), 3 verification failure. Vertex ids on the
-command line are 1-based, as in the DIMACS files themselves.
+inconsistent graph files, or a graph that cannot supply the requested
+queries), 3 verification failure. Vertex ids on the command line are
+1-based, as in the DIMACS files themselves.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import partial
 
 from .bench import bench_run, render_csv, solve_query, verify_run
 from .graph import ArcMismatchError, BiGraph, DimacsParseError, load_bigraph
+from .oracle import GenerationError
 from .pareto import ApproxFactor
 
 EXIT_OK = 0
@@ -47,12 +49,10 @@ def _eps_value(text: str) -> float:
 
 
 def _eps_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(_eps_value(part) for part in text.split(",") if part.strip())
-    except argparse.ArgumentTypeError:
-        raise
-    except Exception:
-        raise argparse.ArgumentTypeError(f"bad grid: {text!r}") from None
+    grid = tuple(_eps_value(part) for part in text.split(",") if part.strip())
+    if not grid:
+        raise argparse.ArgumentTypeError("no approximation factors given")
+    return grid
 
 
 def _alg_list(text: str) -> tuple[str, ...]:
@@ -109,7 +109,6 @@ def build_parser() -> _Parser:
         help="comma-separated engines (default boa-eps,ppa)",
     )
     bench.add_argument("--out", help="CSV output path (default stdout)")
-    bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--h-cache", help="directory for cached heuristic tables")
     bench.set_defaults(func=partial(cmd_bench, bench))
 
@@ -180,8 +179,6 @@ def cmd_solve(parser: _Parser, args) -> int:
 def cmd_bench(parser: _Parser, args) -> int:
     if args.queries < 0:
         parser.error("--queries must be nonnegative")
-    if args.workers < 1:
-        parser.error("--workers must be positive")
     # Open --out before the run, as a shell redirection would, so that a
     # path that cannot be written fails before any work is done.
     try:
@@ -193,10 +190,14 @@ def cmd_bench(parser: _Parser, args) -> int:
         if isinstance(loaded, int):
             return loaded
         eps_grid = tuple(ApproxFactor.uniform(e) for e in args.eps_grid)
-        reports = bench_run(
-            loaded, args.queries, args.seed, eps_grid, args.algs,
-            workers=args.workers, h_cache_dir=args.h_cache,
-        )
+        try:
+            reports = bench_run(
+                loaded, args.queries, args.seed, eps_grid, args.algs,
+                h_cache_dir=args.h_cache,
+            )
+        except GenerationError as exc:
+            print(f"biroute: data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
         stream.write(render_csv(reports))
     return EXIT_OK
 

@@ -40,16 +40,6 @@ class ApproxFactor:
 EXACT = ApproxFactor(0.0, 0.0)
 
 
-def weakly_dominates(p: CostVec, q: CostVec) -> bool:
-    """True iff p is at most q in both components."""
-    return p[0] <= q[0] and p[1] <= q[1]
-
-
-def strictly_dominates(p: CostVec, q: CostVec) -> bool:
-    """True iff p weakly dominates q and improves at least one component."""
-    return p[0] <= q[0] and p[1] <= q[1] and (p[0] < q[0] or p[1] < q[1])
-
-
 def approx_dominates(p: CostVec, q: CostVec, eps: ApproxFactor) -> bool:
     """True iff p is within the (eps1, eps2) relaxation of dominating q."""
     e1, e2 = eps.eps1 or 0, eps.eps2 or 0

@@ -11,7 +11,8 @@ import pytest
 import biroute.heuristics as heuristics
 from biroute import (
     EXACT,
-    ApproxFactor,
+    CostVec,
+    QueryReport,
     bench_run,
     random_instance,
     render_csv,
@@ -121,6 +122,19 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_empty_eps_grid_is_usage_error(self, capsys, g1_files, command):
+        p1, p2 = g1_files
+        extra = {
+            "verify": ("--instances", "3"),
+            "bench": ("--gr1", str(p1), "--gr2", str(p2), "--queries", "1"),
+        }[command]
+        code, out, err = run_cli(capsys, command, *extra, "--eps-grid", ",")
+        assert code == EXIT_USAGE
+        assert err.startswith(f"usage: biroute {command} ")
+        assert "no approximation factors given" in err
+        assert out == ""
+
     def test_eps_conflicts_with_split_flags(self, capsys, g1_files):
         p1, p2 = g1_files
         code, _, _ = run_cli(
@@ -199,6 +213,25 @@ class TestExitCodes:
             code, _, err = run_cli(capsys, *argv)
             assert code == EXIT_USAGE
             assert err.startswith(f"usage: biroute {argv[0]} ")
+
+    @pytest.mark.parametrize(
+        "header, queries, cause",
+        [("p sp 0 0", "1", "no vertices"), ("p sp 1000 0", "50", "10000 draws")],
+        ids=["no_vertices", "no_arcs"],
+    )
+    def test_graph_without_queries_is_data_error(
+        self, capsys, tmp_path, header, queries, cause
+    ):
+        p1, p2 = tmp_path / "x.gr", tmp_path / "y.gr"
+        p1.write_text(header + "\n")
+        p2.write_text(header + "\n")
+        code, out, err = run_cli(
+            capsys, "bench", "--gr1", str(p1), "--gr2", str(p2),
+            "--queries", queries,
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("biroute: data error: ") and cause in err
+        assert "Traceback" not in err and out == ""
 
     def test_mismatched_pair_is_data_error(self, capsys, tmp_path):
         p1, p2 = tmp_path / "x.gr", tmp_path / "y.gr"
@@ -297,7 +330,7 @@ class TestBench:
         code, out, _ = run_cli(
             capsys, "bench", "--gr1", str(p1), "--gr2", str(p2),
             "--queries", "2", "--seed", "1", "--eps-grid", "0",
-            "--workers", "2", "--out", str(out_path),
+            "--out", str(out_path),
         )
         assert code == EXIT_OK
         text = out_path.read_text()
@@ -412,16 +445,22 @@ class TestLibraryBench:
             assert build_ms.setdefault(r.target, r.heuristic_ms) == r.heuristic_ms
         assert len(build_ms) < 8 and {t - 1 for t in build_ms} <= set(built)
 
-    def test_worker_pool_matches_sequential(self):
-        g, _, _ = random_instance(3, n_max=12)
-        kwargs = dict(n_queries=3, seed=5,
-                      eps_grid=[EXACT, ApproxFactor.uniform(0.5)],
-                      algorithms=("boa_eps", "ppa"))
-        seq = bench_run(g, workers=1, **kwargs)
-        par = bench_run(g, workers=2, **kwargs)
-        strip = lambda rs: [
-            (r.query_id, r.source, r.target, r.algorithm, r.eps1, r.eps2,
-             r.n_solutions, r.solution_costs)
-            for r in rs
-        ]
-        assert strip(seq) == strip(par)
+    def test_summary_rows_print_large_counts_exactly(self):
+        def report(query_id, n_expanded):
+            return QueryReport(
+                query_id=query_id, source=1, target=2, algorithm="ppa",
+                eps1=0.0, eps2=0.0, n_solutions=1, n_expanded=n_expanded,
+                n_generated=n_expanded + 1, time_ms=1.0, heuristic_ms=0.0,
+                solution_costs=[CostVec(3, 4)],
+            )
+
+        text = render_csv([report(0, 1_234_567), report(1, 2_000_001)])
+        summary = {
+            r["query_id"]: r
+            for r in csv.DictReader(io.StringIO(text)) if not r["source"]
+        }
+        assert summary["min"]["n_expanded"] == "1234567"
+        assert summary["min"]["n_generated"] == "1234568"
+        assert summary["max"]["n_expanded"] == "2000001"
+        assert summary["max"]["n_generated"] == "2000002"
+        assert summary["avg"]["n_expanded"] == "1.61728e+06"
