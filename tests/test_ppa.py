@@ -187,15 +187,17 @@ class TestAnticorrelatedGrid:
         return g, compute_heuristics(g, 99)
 
     @pytest.mark.parametrize(
-        "eps, n_costs, costs_digest, counters",
+        "eps, n_costs, costs_digest, counters, n_arena, pairs_digest",
         [
-            (0.0, 93, "46b5b9afef92e7c7", (2209, 3103, 547)),
-            (0.01, 46, "d1492250e2637762", (1847, 2681, 588)),
-            (0.1, 8, "a80856327158cb67", (785, 1238, 389)),
+            (0.0, 93, "46b5b9afef92e7c7", (2209, 3103, 547), 3103, "9f332ce4bbcf4bef"),
+            (0.01, 46, "d1492250e2637762", (1847, 2681, 588), 3034, "136bd42b92e19a6a"),
+            (0.1, 8, "a80856327158cb67", (785, 1238, 389), 2007, "edd0b29016ae0704"),
         ],
         ids=["eps-0", "eps-0.01", "eps-0.1"],
     )
-    def test_pinned_outputs_and_counters(self, instance, eps, n_costs, costs_digest, counters):
+    def test_pinned_outputs_and_counters(
+        self, instance, eps, n_costs, costs_digest, counters, n_arena, pairs_digest
+    ):
         g, h = instance
         res = ppa_search(g, h, 0, 99, ApproxFactor.uniform(eps))
         costs = sorted(res.solution_costs())
@@ -203,6 +205,11 @@ class TestAnticorrelatedGrid:
         assert (len(costs), digest[:16]) == (n_costs, costs_digest)
         stats = res.stats
         assert (stats.n_expanded, stats.n_generated, stats.n_merges) == counters
+        # Which pairs merged, in which order, shows in the arena's length and
+        # in the stored pairs' corner indices and costs.
+        flat = [(p.vertex, p.tl, p.br, *p.tl_cost, *p.br_cost) for p in res.pairs]
+        pairs_hex = hashlib.sha256(repr(flat).encode()).hexdigest()
+        assert (len(res.arena), pairs_hex[:16]) == (n_arena, pairs_digest)
         # Arena records are written only for pairs that survive pruning.
         assert len(res.arena) <= 2 * stats.n_generated
         if eps == 0.0:
