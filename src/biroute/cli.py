@@ -49,7 +49,9 @@ def _eps_value(text: str) -> float:
 
 
 def _eps_grid(text: str) -> tuple[float, ...]:
-    grid = tuple(_eps_value(part) for part in text.split(",") if part.strip())
+    # A repeat (say "0,0.0") would run its cells twice, so keep the first.
+    parts = (_eps_value(part) for part in text.split(",") if part.strip())
+    grid = tuple(dict.fromkeys(parts))
     if not grid:
         raise argparse.ArgumentTypeError("no approximation factors given")
     return grid
@@ -68,7 +70,7 @@ def _alg_list(text: str) -> tuple[str, ...]:
         algs.append(_ALG_FLAGS[name])
     if not algs:
         raise argparse.ArgumentTypeError("no algorithms given")
-    return tuple(algs)
+    return tuple(dict.fromkeys(algs))  # first appearance of each, as in _eps_grid
 
 
 def build_parser() -> _Parser:

@@ -28,7 +28,11 @@ class LabelBudgetError(RuntimeError):
 
 
 class GenerationError(RuntimeError):
-    """Raised when a random instance cannot produce a reachable query."""
+    """Raised when a random instance cannot produce a reachable query.
+
+    ``bench.sample_queries`` raises it too, when a graph cannot supply the
+    requested reachable queries.
+    """
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,15 @@ Inside the search loop a pair is one flat list record (layout below) that
 sits directly in the heap and in its vertex bucket; it is the only place
 the search keeps corner costs. Children are pruned before anything is
 allocated, and a survivor appends one ``(vertex, parent)`` arena tuple
-per distinct corner path. Vertex buckets are insertion-ordered dicts keyed
-by seq, scanned first-fit by ``_first_fit``. Goal pairs need no scan: they
-pop in non-decreasing tl1, and a survivor of the goal-bound prune has a
-relaxed br2 below every stored br2, so it neither absorbs nor fits a
-stored pair. ``PathPair`` tuples are built once, for the result.
+per distinct corner path. Buckets live in a per-search list indexed by
+vertex, each an insertion-ordered dict keyed by seq, created when its
+vertex gets its first pair. The child loop places each survivor itself:
+into an empty bucket directly, otherwise after a first-fit scan that
+absorbs the first resident the merge keeps within the slack. Goal pairs
+need no scan: they pop in non-decreasing tl1, and a survivor of the
+goal-bound prune has a relaxed br2 below every stored br2, so it neither
+absorbs nor fits a stored pair. ``PathPair`` tuples are built once, for
+the result.
 
 Projection to returned paths: each stored solution pair contributes its
 bottom-right path. The bottom-right cost is within the slack of every
@@ -41,14 +45,15 @@ member never weakens coverage.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from functools import partial
 from heapq import heappop, heappush
 
-from .graph import BiGraph, CostVec
+from .graph import BiGraph, _cost
 from .heuristics import UNREACHABLE, HeuristicTable, validate_query
 from .pareto import EXACT, ApproxFactor, PathPair, SearchResult, pareto_filter
 
 _INF = float("inf")
+_pair = partial(tuple.__new__, PathPair)
 
 # A pair record is the list
 #   [f1, f2, seq, vertex, tl, br, tl1, tl2, br1, br2, live]
@@ -56,62 +61,20 @@ _INF = float("inf")
 # seq is unique, so comparison never reaches the later fields. tl and br
 # are arena indices, (tl1, tl2) and (br1, br2) their costs. ``live`` turns
 # False when a merge absorbs the record while it waits in the heap.
-
-
-def _first_fit(slots, tl1, tl2, br1, br2, e1, e2):
-    """The first record in ``slots`` whose merge with corners (tl, br) is bounded.
-
-    The merge keeps the smaller-c1 top-left and the smaller-c2
-    bottom-right, the resident's on ties, and counts as bounded exactly
-    when ``is_bounded`` would say so of the merged pair. Returns None when
-    no resident fits. By which side supplies each merged corner:
-
-    - the resident both: the merge is the resident, bounded when stored;
-    - the newcomer both: the merge is the newcomer, bounded likewise;
-    - resident tl, newcomer br: br1 <= r.tl1 + e1*r.tl1 and
-      r.tl2 <= br2 + e2*br2;
-    - newcomer tl, resident br: r.br1 <= tl1 + e1*tl1 and
-      tl2 <= r.br2 + e2*r.br2.
-
-    The newcomer's sides of the last two tests are computed once, so most
-    residents are rejected by one or two int comparisons.
-    """
-    cap1 = tl1 + e1 * tl1
-    cap2 = br2 + e2 * br2
-    for r in slots:
-        if r[6] <= tl1:
-            if r[9] <= br2 or (r[7] <= cap2 and br1 <= r[6] + e1 * r[6]):
-                return r
-        elif r[9] > br2 or (r[8] <= cap1 and tl2 <= r[9] + e2 * r[9]):
-            return r
-    return None
-
-
-def _place(slots: dict, rec: list, e1: float, e2: float) -> bool:
-    """Append ``rec`` to ``slots``, first absorbing the first resident it fits.
-
-    The absorbed resident leaves ``slots`` and is marked dead; ``rec``
-    takes over the merged corners, its f-values moving with them, and so
-    lands at the end of ``slots`` under its own seq. At most one merge
-    happens per call. Returns whether one did.
-    """
-    _, _, _, _, _, _, tl1, tl2, br1, br2, _ = rec
-    if __debug__:
-        assert br1 <= tl1 + e1 * tl1 and tl2 <= br2 + e2 * br2, (
-            "attempted to store an out-of-slack pair"
-        )
-    r = _first_fit(slots.values(), tl1, tl2, br1, br2, e1, e2) if slots else None
-    if r is not None:
-        r[10] = False
-        del slots[r[2]]
-        if r[6] <= tl1:
-            rec[0] -= tl1 - r[6]
-            rec[4], rec[6], rec[7] = r[4], r[6], r[7]
-        if r[9] <= br2:
-            rec[1] -= br2 - r[9]
-            rec[5], rec[8], rec[9] = r[5], r[8], r[9]
-    slots[rec[2]] = rec
-    return r is not None
+#
+# A newcomer with corners (tl, br) fits a resident r when the merge, which
+# keeps the smaller-c1 top-left and the smaller-c2 bottom-right (r's on
+# ties), is within the slack. By which side supplies each merged corner:
+#
+# - r both: the merge is r, within the slack since r is stored;
+# - the newcomer both: likewise;
+# - r's tl, the newcomer's br: br1 <= r.tl1 + e1*r.tl1 and
+#   r.tl2 <= br2 + e2*br2;
+# - the newcomer's tl, r's br: r.br1 <= tl1 + e1*tl1 and
+#   tl2 <= r.br2 + e2*r.br2.
+#
+# The newcomer's sides of the last two tests are computed once per scan,
+# so most residents are rejected by one or two int comparisons.
 
 
 def ppa_search(
@@ -138,12 +101,12 @@ def ppa_search(
     arena = result.arena
     append = arena.append
     g2min: list = [_INF] * g.vertex_count
-    buckets: defaultdict[int, dict[int, list]] = defaultdict(dict)
+    buckets: list = [None] * g.vertex_count
     solutions: list[list] = []
 
     append((start, None))
     rec = [h1[start], h2[start], 0, start, 0, 0, 0, 0, 0, 0, True]
-    buckets[start][0] = rec
+    buckets[start] = {0: rec}
     heap = [rec]
     seq = 1
     n_expanded = n_merges = 0
@@ -189,16 +152,45 @@ def ppa_search(
             else:
                 nbr, nbr1 = ntl + 1, br1 + c1
                 append((target, br))
-            rec = [ntl1 + th1, nf2, seq, target, ntl, nbr, ntl1, ntl2, nbr1, nbr2, True]
+            if __debug__:
+                assert nbr1 <= ntl1 + e1 * ntl1 and ntl2 <= nbr2 + e2 * nbr2, (
+                    "attempted to store an out-of-slack pair"
+                )
+            nf1 = ntl1 + th1
+            slots = buckets[target]
+            if slots:
+                cap1 = ntl1 + e1 * ntl1
+                cap2 = nbr2 + e2 * nbr2
+                for r in slots.values():
+                    if r[6] <= ntl1:
+                        if r[9] <= nbr2 or (r[7] <= cap2 and nbr1 <= r[6] + e1 * r[6]):
+                            break
+                    elif r[9] > nbr2 or (r[8] <= cap1 and ntl2 <= r[9] + e2 * r[9]):
+                        break
+                else:
+                    r = None
+                if r is not None:  # absorb r; the merge takes over r's better corners
+                    r[10] = False
+                    del slots[r[2]]
+                    n_merges += 1
+                    if r[6] <= ntl1:
+                        nf1 -= ntl1 - r[6]
+                        ntl, ntl1, ntl2 = r[4], r[6], r[7]
+                    if r[9] <= nbr2:
+                        nf2 -= nbr2 - r[9]
+                        nbr, nbr1, nbr2 = r[5], r[8], r[9]
+            elif slots is None:
+                slots = buckets[target] = {}
+            rec = [nf1, nf2, seq, target, ntl, nbr, ntl1, ntl2, nbr1, nbr2, True]
+            slots[seq] = rec
             seq += 1
-            n_merges += _place(buckets[target], rec, e1, e2)
             heappush(heap, rec)
 
     result.stats.n_expanded = n_expanded
     result.stats.n_generated = seq  # one seq per generated pair, the root's included
     result.stats.n_merges = n_merges
     result.pairs = [
-        PathPair(goal, r[4], r[5], CostVec(r[6], r[7]), CostVec(r[8], r[9]))
+        _pair((goal, r[4], r[5], _cost((r[6], r[7])), _cost((r[8], r[9]))))
         for r in solutions
     ]
     kept_costs = set(pareto_filter(p.br_cost for p in result.pairs))

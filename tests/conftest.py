@@ -1,8 +1,18 @@
-"""Shared fixtures: a small hand-checkable graph and on-disk .gr pairs."""
+"""Shared fixtures: a small hand-checkable graph and on-disk .gr pairs.
+
+Also the placement spec of the path-pair search: ``_first_fit`` and
+``_place`` state, one call per child, what the engine's child loop does
+inline, and ``reference_ppa_search`` is the loop built on them.
+"""
+
+from collections import defaultdict
+from heapq import heappop, heappush
 
 import pytest
 
 from biroute import BiGraph, CostVec, bigraph_from_arcs, write_gr_pair
+from biroute.heuristics import UNREACHABLE, validate_query
+from biroute.pareto import EXACT, PathPair, SearchResult, pareto_filter
 
 # Four-vertex diamond with a direct long arc.  Vertices: 0=s, 1=a, 2=b, 3=g.
 # Arcs (u, v, c1, c2):
@@ -34,6 +44,139 @@ def pair_record(seq, tl_cost, br_cost, h=(0, 0)):
 def record_corners(rec):
     """The (tl, br) corner costs of a pair record."""
     return CostVec(rec[6], rec[7]), CostVec(rec[8], rec[9])
+
+
+def _first_fit(slots, tl1, tl2, br1, br2, e1, e2):
+    """The first record in ``slots`` whose merge with corners (tl, br) is bounded.
+
+    The merge keeps the smaller-c1 top-left and the smaller-c2
+    bottom-right, the resident's on ties, and counts as bounded exactly
+    when ``is_bounded`` would say so of the merged pair. Returns None when
+    no resident fits. By which side supplies each merged corner:
+
+    - the resident both: the merge is the resident, bounded when stored;
+    - the newcomer both: the merge is the newcomer, bounded likewise;
+    - resident tl, newcomer br: br1 <= r.tl1 + e1*r.tl1 and
+      r.tl2 <= br2 + e2*br2;
+    - newcomer tl, resident br: r.br1 <= tl1 + e1*tl1 and
+      tl2 <= r.br2 + e2*r.br2.
+
+    The newcomer's sides of the last two tests are computed once, so most
+    residents are rejected by one or two int comparisons.
+    """
+    cap1 = tl1 + e1 * tl1
+    cap2 = br2 + e2 * br2
+    for r in slots:
+        if r[6] <= tl1:
+            if r[9] <= br2 or (r[7] <= cap2 and br1 <= r[6] + e1 * r[6]):
+                return r
+        elif r[9] > br2 or (r[8] <= cap1 and tl2 <= r[9] + e2 * r[9]):
+            return r
+    return None
+
+
+def _place(slots: dict, rec: list, e1: float, e2: float) -> bool:
+    """Append ``rec`` to ``slots``, first absorbing the first resident it fits.
+
+    The absorbed resident leaves ``slots`` and is marked dead; ``rec``
+    takes over the merged corners, its f-values moving with them, and so
+    lands at the end of ``slots`` under its own seq. At most one merge
+    happens per call. Returns whether one did.
+    """
+    _, _, _, _, _, _, tl1, tl2, br1, br2, _ = rec
+    if __debug__:
+        assert br1 <= tl1 + e1 * tl1 and tl2 <= br2 + e2 * br2, (
+            "attempted to store an out-of-slack pair"
+        )
+    r = _first_fit(slots.values(), tl1, tl2, br1, br2, e1, e2) if slots else None
+    if r is not None:
+        r[10] = False
+        del slots[r[2]]
+        if r[6] <= tl1:
+            rec[0] -= tl1 - r[6]
+            rec[4], rec[6], rec[7] = r[4], r[6], r[7]
+        if r[9] <= br2:
+            rec[1] -= br2 - r[9]
+            rec[5], rec[8], rec[9] = r[5], r[8], r[9]
+    slots[rec[2]] = rec
+    return r is not None
+
+
+def reference_ppa_search(g, h, start, goal, eps=EXACT):
+    """``ppa_search`` with each child placed by one ``_place`` call.
+
+    Same records, pops, prunes and arena writes as the engine; only the
+    placement goes through the spec above. The engine must match it in
+    every counter, arena record, stored pair and cost.
+    """
+    validate_query(g, h, start, goal)
+    result = SearchResult()
+    h1, h2 = h.h1, h.h2
+    if h1[start] == UNREACHABLE:
+        return result
+    e1, e2 = eps.eps1 or 0, eps.eps2 or 0
+    edges = g.edges
+    arena = result.arena
+    append = arena.append
+    g2min = [float("inf")] * g.vertex_count
+    buckets = defaultdict(dict)
+    solutions = []
+
+    append((start, None))
+    rec = [h1[start], h2[start], 0, start, 0, 0, 0, 0, 0, 0, True]
+    buckets[start][0] = rec
+    heap = [rec]
+    seq = 1
+    n_expanded = n_merges = 0
+    while heap:
+        rec = heappop(heap)
+        if not rec[10]:
+            continue
+        f1, f2, key, u, tl, br, tl1, tl2, br1, br2, _ = rec
+        del buckets[u][key]
+        if br2 >= g2min[u] or f2 + e2 * f2 >= g2min[goal]:
+            continue
+        n_expanded += 1
+        g2min[u] = br2
+        if u == goal:
+            solutions.append(rec)
+            continue
+        for target, (c1, c2) in edges[u]:
+            th1 = h1[target]
+            if th1 == UNREACHABLE:
+                continue
+            nbr2 = br2 + c2
+            nf2 = nbr2 + h2[target]
+            if nbr2 >= g2min[target] or nf2 + e2 * nf2 >= g2min[goal]:
+                continue
+            ntl1 = tl1 + c1
+            ntl2 = tl2 + c2
+            ntl = len(arena)
+            append((target, tl))
+            if tl == br:
+                nbr, nbr1 = ntl, ntl1
+            else:
+                nbr, nbr1 = ntl + 1, br1 + c1
+                append((target, br))
+            rec = [ntl1 + th1, nf2, seq, target, ntl, nbr, ntl1, ntl2, nbr1, nbr2, True]
+            seq += 1
+            n_merges += _place(buckets[target], rec, e1, e2)
+            heappush(heap, rec)
+
+    result.stats.n_expanded = n_expanded
+    result.stats.n_generated = seq
+    result.stats.n_merges = n_merges
+    result.pairs = [
+        PathPair(goal, r[4], r[5], CostVec(r[6], r[7]), CostVec(r[8], r[9]))
+        for r in solutions
+    ]
+    kept_costs = set(pareto_filter(p.br_cost for p in result.pairs))
+    for p in result.pairs:
+        if p.br_cost in kept_costs:
+            result.solutions.append(p.br)
+            result.costs.append(p.br_cost)
+            kept_costs.discard(p.br_cost)
+    return result
 
 
 @pytest.fixture

@@ -357,6 +357,16 @@ class TestBench:
         assert "cannot write --out file" in err and str(out_path) in err
         assert "Traceback" not in err and out == ""
 
+    def test_repeated_grid_values_run_once(self, capsys, g1_files):
+        p1, p2 = g1_files
+        code, out, _ = run_cli(
+            capsys, "bench", "--gr1", str(p1), "--gr2", str(p2),
+            "--queries", "3", "--seed", "0", "--eps-grid", "0,0", "--algs", "ppa,ppa",
+        )
+        assert code == EXIT_OK
+        rows = [r for r in csv.DictReader(io.StringIO(out)) if r["source"]]
+        assert sorted(r["query_id"] for r in rows) == ["0", "1", "2"]
+
     def test_summary_rows_present(self, capsys, g1_files):
         p1, p2 = g1_files
         _, out, _ = run_cli(
@@ -387,6 +397,15 @@ class TestVerifyCommand:
         cells = [line for line in out.splitlines() if line.startswith("eps=")]
         # Two slack settings x two engines.
         assert len(cells) == 4
+
+    def test_repeated_grid_values_run_once(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--instances", "20", "--eps-grid", "0,0",
+        )
+        assert code == EXIT_OK, err
+        cells = [line for line in out.splitlines() if line.startswith("eps=")]
+        assert len(cells) == 2  # one slack setting x two engines
+        assert all("20/20 passed" in line for line in cells)
 
     @pytest.mark.parametrize(
         "flag, value",

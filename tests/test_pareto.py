@@ -21,8 +21,7 @@ from biroute import (
     ppa_search,
     random_instance,
 )
-from biroute.ppa import _first_fit, _place
-from conftest import pair_record, record_corners
+from conftest import _first_fit, _place, pair_record, record_corners
 
 costs = st.tuples(st.integers(0, 40), st.integers(0, 40)).map(lambda t: CostVec(*t))
 slacks = st.sampled_from([0.0, 0.01, 0.1, 0.25, 0.5, 1.0, 3.0])

@@ -20,8 +20,13 @@ from biroute import (
     random_instance,
 )
 from biroute.oracle import FrontierSet
-from biroute.ppa import _first_fit, _place
-from conftest import pair_record, record_corners
+from conftest import (
+    _first_fit,
+    _place,
+    pair_record,
+    record_corners,
+    reference_ppa_search,
+)
 
 
 def h_for(g, goal):
@@ -215,6 +220,33 @@ class TestAnticorrelatedGrid:
         if eps == 0.0:
             assert res.solution_costs() == boa_search(g, h, 0, 99).solution_costs()
             assert len(res.arena) == stats.n_generated
+
+
+class TestReferenceLoop:
+    """The engine's inline placement against one ``_place`` call per child."""
+
+    @staticmethod
+    def outputs(res):
+        stats = res.stats
+        counters = (stats.n_expanded, stats.n_generated, stats.n_merges)
+        return counters, res.arena, res.pairs, res.solutions, res.costs
+
+    @pytest.mark.parametrize(
+        "eps",
+        [(0, 0), (0.01, 0.01), (0.5, 0.5), (1, 1), (0, 0.5), (1, 0)],
+        ids=lambda e: f"{e[0]}-{e[1]}",
+    )
+    def test_matches_reference_loop(self, eps):
+        eps = ApproxFactor(*eps)
+        grid = anticorrelated_grid(10, random.Random(2021))
+        queries = [(grid, 0, 99)] + [random_instance(seed) for seed in range(300)]
+        n_merges = 0
+        for g, s, t in queries:
+            h = h_for(g, t)
+            got = ppa_search(g, h, s, t, eps)
+            assert self.outputs(got) == self.outputs(reference_ppa_search(g, h, s, t, eps))
+            n_merges += got.stats.n_merges
+        assert n_merges > 0
 
 
 class TestEdgeCases:
