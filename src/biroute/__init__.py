@@ -33,9 +33,7 @@ from .pareto import (
     PathPair,
     SearchResult,
     SearchStats,
-    apex,
     approx_dominates,
-    is_bounded,
     pareto_filter,
 )
 from .boa import boa_search
@@ -74,9 +72,7 @@ __all__ = [
     "PathPair",
     "SearchResult",
     "SearchStats",
-    "apex",
     "approx_dominates",
-    "is_bounded",
     "pareto_filter",
     "boa_search",
     "ppa_search",

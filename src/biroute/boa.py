@@ -57,7 +57,7 @@ def boa_search(
     n_expanded = 0
     if __debug__:
         last_f1 = 0
-        last_f2_at: dict[int, int] = {}
+        last_f2_at: list[float | int] = [_INF] * g.vertex_count
 
     while heap:
         f1, f2, idx, u, g1, g2 = heapq.heappop(heap)
@@ -67,10 +67,7 @@ def boa_search(
         if __debug__:
             assert f1 >= last_f1, "extraction order broke f1 monotonicity"
             last_f1 = f1
-            prev_f2 = last_f2_at.get(u)
-            assert prev_f2 is None or f2 < prev_f2, (
-                "expansions at a vertex broke strict f2 descent"
-            )
+            assert f2 < last_f2_at[u], "expansions at a vertex broke strict f2 descent"
             last_f2_at[u] = f2
         g2min[u] = g2
         if u == goal:

@@ -45,7 +45,7 @@ def _eps_value(text: str) -> float:
         raise argparse.ArgumentTypeError(f"approximation factors must be finite: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError("approximation factors must be nonnegative")
-    return round(value, 6)
+    return value
 
 
 def _eps_grid(text: str) -> tuple[float, ...]:

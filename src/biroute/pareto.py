@@ -63,26 +63,6 @@ class PathPair(NamedTuple):
     br_cost: CostVec
 
 
-def apex(pp: PathPair) -> CostVec:
-    """The componentwise-best corner spanned by the pair's two paths."""
-    return CostVec(pp.tl_cost.c1, pp.br_cost.c2)
-
-
-def is_bounded(pp: PathPair, eps: ApproxFactor) -> bool:
-    """True iff the pair's spread stays within the per-criterion slack.
-
-    Componentwise this requires c1(br) <= (1 + eps1) * c1(tl) and
-    c2(tl) <= (1 + eps2) * c2(br); a zero reference component therefore
-    admits only a zero counterpart.
-    """
-    c1_tl = pp.tl_cost.c1
-    c2_br = pp.br_cost.c2
-    return (
-        pp.br_cost.c1 <= c1_tl + (eps.eps1 or 0) * c1_tl
-        and pp.tl_cost.c2 <= c2_br + (eps.eps2 or 0) * c2_br
-    )
-
-
 def pareto_filter(costs: Iterable[CostVec]) -> list[CostVec]:
     """The mutually non-dominated subset of ``costs``, deduplicated.
 

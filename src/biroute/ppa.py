@@ -17,19 +17,43 @@ the pair: a pair is dropped when f2 of its bottom-right path, relaxed by
 (1 + eps2), cannot beat the smallest second-cost expanded at the goal, or
 when that path's g2 is no better than the record at the pair's vertex.
 
-Inside the search loop a pair is one flat list record (layout below) that
-sits directly in the heap and in its vertex bucket; it is the only place
-the search keeps corner costs. Children are pruned before anything is
-allocated, and a survivor appends one ``(vertex, parent)`` arena tuple
+Inside the search loop a pair is one flat tuple record (layout below)
+that sits directly in the heap and in its vertex bucket; it is the only
+place the search keeps corner costs. Children are pruned before anything
+is allocated, and a survivor appends one ``(vertex, parent)`` arena tuple
 per distinct corner path. Buckets live in a per-search list indexed by
 vertex, each an insertion-ordered dict keyed by seq, created when its
-vertex gets its first pair. The child loop places each survivor itself:
-into an empty bucket directly, otherwise after a first-fit scan that
-absorbs the first resident the merge keeps within the slack. Goal pairs
-need no scan: they pop in non-decreasing tl1, and a survivor of the
-goal-bound prune has a relaxed br2 below every stored br2, so it neither
-absorbs nor fits a stored pair. ``PathPair`` tuples are built once, for
-the result.
+vertex gets its first pair. A record is live exactly while it is in its
+bucket: a merge deletes the absorbed record from the bucket, and a pop
+whose key is no longer there is a stale heap entry.
+
+The child loop places each survivor itself: into an empty bucket
+directly, otherwise after a first-fit scan that absorbs the first
+resident the merge keeps within the slack. Two per-vertex bounds let most
+children skip that scan: ``tl1_hi[v]`` is at least, and ``br2_lo[v]`` at
+most, the tl1 and br2 of every record in v's bucket. Both are set when a
+record enters an empty bucket and widened by every later insert, with the
+corners stored after any merge; a pop or merge never narrows them, which
+keeps them bounds of a superset of the residents. A child finds no fit
+when, with ``hi``/``lo`` its bucket's bounds and ``cap2 = nbr2 + e2*nbr2``,
+
+    hi <= ntl1 and lo > nbr2 and (lo > cap2 or nbr1 > hi + e1*hi).
+
+Every resident then has ``r.tl1 <= hi <= ntl1``, so only the first
+branch of the fit test below applies. ``r.br2 >= lo > nbr2`` rules out
+its dominance fit. Its window fit needs ``r.tl2 <= cap2`` and
+``nbr1 <= r.tl1 + e1*r.tl1``: the first fails when ``lo > cap2``, as
+every stored pair has ``r.tl2 >= r.br2 >= lo``; the second fails when
+``nbr1 > hi + e1*hi``, as ``x + e1*x`` is monotone in x in floating
+point (and exact at zero slack), so ``hi + e1*hi >= r.tl1 + e1*r.tl1``.
+A child that may fit scans in insertion order exactly as before, so the
+first fit, every merge and every counter are the same with or without
+the bounds.
+
+Goal pairs need no scan: they pop in non-decreasing tl1, and a survivor
+of the goal-bound prune has a relaxed br2 below every stored br2, so it
+neither absorbs nor fits a stored pair. ``PathPair`` tuples are built
+once, for the result.
 
 Projection to returned paths: each stored solution pair contributes its
 bottom-right path. The bottom-right cost is within the slack of every
@@ -55,12 +79,13 @@ from .pareto import EXACT, ApproxFactor, PathPair, SearchResult, pareto_filter
 _INF = float("inf")
 _pair = partial(tuple.__new__, PathPair)
 
-# A pair record is the list
-#   [f1, f2, seq, vertex, tl, br, tl1, tl2, br1, br2, live]
+# A pair record is the tuple
+#   (f1, f2, seq, vertex, tl, br, tl1, tl2, br1, br2)
 # with apex f-values first so the heap orders records by (f1, f2, seq);
 # seq is unique, so comparison never reaches the later fields. tl and br
-# are arena indices, (tl1, tl2) and (br1, br2) their costs. ``live`` turns
-# False when a merge absorbs the record while it waits in the heap.
+# are arena indices, (tl1, tl2) and (br1, br2) their costs; every stored
+# record has tl1 <= br1 and tl2 >= br2. A record is live while its
+# vertex's bucket still holds it under its seq.
 #
 # A newcomer with corners (tl, br) fits a resident r when the merge, which
 # keeps the smaller-c1 top-left and the smaller-c2 bottom-right (r's on
@@ -100,36 +125,35 @@ def ppa_search(
     edges = g.edges
     arena = result.arena
     append = arena.append
-    g2min: list = [_INF] * g.vertex_count
-    buckets: list = [None] * g.vertex_count
-    solutions: list[list] = []
+    n = g.vertex_count
+    g2min: list = [_INF] * n
+    buckets: list = [None] * n
+    tl1_hi: list = [0] * n  # bucket bounds; the root's (0, 0) is already in
+    br2_lo: list = [0] * n
+    solutions: list[tuple] = []
 
     append((start, None))
-    rec = [h1[start], h2[start], 0, start, 0, 0, 0, 0, 0, 0, True]
+    rec = (h1[start], h2[start], 0, start, 0, 0, 0, 0, 0, 0)
     buckets[start] = {0: rec}
     heap = [rec]
     seq = 1
     n_expanded = n_merges = 0
     if __debug__:
         last_f1 = 0
-        last_f2_at: dict[int, int] = {}
+        last_f2_at: list = [_INF] * n
 
     while heap:
         rec = heappop(heap)
-        if not rec[10]:
+        f1, f2, key, u, tl, br, tl1, tl2, br1, br2 = rec
+        if buckets[u].pop(key, None) is None:
             continue
-        f1, f2, key, u, tl, br, tl1, tl2, br1, br2, _ = rec
-        del buckets[u][key]
         if br2 >= g2min[u] or f2 + e2 * f2 >= g2min[goal]:
             continue
         n_expanded += 1
         if __debug__:
             assert f1 >= last_f1, "extraction order broke apex f1 monotonicity"
             last_f1 = f1
-            prev_f2 = last_f2_at.get(u)
-            assert prev_f2 is None or f2 < prev_f2, (
-                "expansions at a vertex broke strict apex f2 descent"
-            )
+            assert f2 < last_f2_at[u], "expansions at a vertex broke strict apex f2 descent"
             last_f2_at[u] = f2
         g2min[u] = br2
         if u == goal:
@@ -158,30 +182,43 @@ def ppa_search(
                 )
             nf1 = ntl1 + th1
             slots = buckets[target]
-            if slots:
-                cap1 = ntl1 + e1 * ntl1
+            if not slots:
+                if slots is None:
+                    slots = buckets[target] = {}
+                tl1_hi[target] = ntl1
+                br2_lo[target] = nbr2
+            else:
+                hi = tl1_hi[target]
+                lo = br2_lo[target]
                 cap2 = nbr2 + e2 * nbr2
-                for r in slots.values():
-                    if r[6] <= ntl1:
-                        if r[9] <= nbr2 or (r[7] <= cap2 and nbr1 <= r[6] + e1 * r[6]):
-                            break
-                    elif r[9] > nbr2 or (r[8] <= cap1 and ntl2 <= r[9] + e2 * r[9]):
-                        break
+                if hi <= ntl1 and lo > nbr2 and (lo > cap2 or nbr1 > hi + e1 * hi):
+                    # No resident fits (module docstring); the child widens both bounds.
+                    tl1_hi[target] = ntl1
+                    br2_lo[target] = nbr2
                 else:
-                    r = None
-                if r is not None:  # absorb r; the merge takes over r's better corners
-                    r[10] = False
-                    del slots[r[2]]
-                    n_merges += 1
-                    if r[6] <= ntl1:
-                        nf1 -= ntl1 - r[6]
-                        ntl, ntl1, ntl2 = r[4], r[6], r[7]
-                    if r[9] <= nbr2:
-                        nf2 -= nbr2 - r[9]
-                        nbr, nbr1, nbr2 = r[5], r[8], r[9]
-            elif slots is None:
-                slots = buckets[target] = {}
-            rec = [nf1, nf2, seq, target, ntl, nbr, ntl1, ntl2, nbr1, nbr2, True]
+                    cap1 = ntl1 + e1 * ntl1
+                    for r in slots.values():
+                        if r[6] <= ntl1:
+                            if r[9] <= nbr2 or (r[7] <= cap2 and nbr1 <= r[6] + e1 * r[6]):
+                                break
+                        elif r[9] > nbr2 or (r[8] <= cap1 and ntl2 <= r[9] + e2 * r[9]):
+                            break
+                    else:
+                        r = None
+                    if r is not None:  # absorb r; the merge takes over r's better corners
+                        del slots[r[2]]
+                        n_merges += 1
+                        if r[6] <= ntl1:
+                            nf1 -= ntl1 - r[6]
+                            ntl, ntl1, ntl2 = r[4], r[6], r[7]
+                        if r[9] <= nbr2:
+                            nf2 -= nbr2 - r[9]
+                            nbr, nbr1, nbr2 = r[5], r[8], r[9]
+                    if ntl1 > hi:
+                        tl1_hi[target] = ntl1
+                    if nbr2 < lo:
+                        br2_lo[target] = nbr2
+            rec = (nf1, nf2, seq, target, ntl, nbr, ntl1, ntl2, nbr1, nbr2)
             slots[seq] = rec
             seq += 1
             heappush(heap, rec)

@@ -1,8 +1,10 @@
 """Shared fixtures: a small hand-checkable graph and on-disk .gr pairs.
 
-Also the placement spec of the path-pair search: ``_first_fit`` and
-``_place`` state, one call per child, what the engine's child loop does
-inline, and ``reference_ppa_search`` is the loop built on them.
+Also the placement spec of the path-pair search: ``apex`` and
+``is_bounded`` define a pair's best corner and its slack bound,
+``_first_fit`` and ``_place`` state, one call per child, what the
+engine's child loop does inline, and ``reference_ppa_search`` is the loop
+built on them.
 """
 
 from collections import defaultdict
@@ -12,7 +14,7 @@ import pytest
 
 from biroute import BiGraph, CostVec, bigraph_from_arcs, write_gr_pair
 from biroute.heuristics import UNREACHABLE, validate_query
-from biroute.pareto import EXACT, PathPair, SearchResult, pareto_filter
+from biroute.pareto import EXACT, ApproxFactor, PathPair, SearchResult, pareto_filter
 
 # Four-vertex diamond with a direct long arc.  Vertices: 0=s, 1=a, 2=b, 3=g.
 # Arcs (u, v, c1, c2):
@@ -44,6 +46,26 @@ def pair_record(seq, tl_cost, br_cost, h=(0, 0)):
 def record_corners(rec):
     """The (tl, br) corner costs of a pair record."""
     return CostVec(rec[6], rec[7]), CostVec(rec[8], rec[9])
+
+
+def apex(pp: PathPair) -> CostVec:
+    """The componentwise-best corner spanned by the pair's two paths."""
+    return CostVec(pp.tl_cost.c1, pp.br_cost.c2)
+
+
+def is_bounded(pp: PathPair, eps: ApproxFactor) -> bool:
+    """True iff the pair's spread stays within the per-criterion slack.
+
+    Componentwise this requires c1(br) <= (1 + eps1) * c1(tl) and
+    c2(tl) <= (1 + eps2) * c2(br); a zero reference component therefore
+    admits only a zero counterpart.
+    """
+    c1_tl = pp.tl_cost.c1
+    c2_br = pp.br_cost.c2
+    return (
+        pp.br_cost.c1 <= c1_tl + (eps.eps1 or 0) * c1_tl
+        and pp.tl_cost.c2 <= c2_br + (eps.eps2 or 0) * c2_br
+    )
 
 
 def _first_fit(slots, tl1, tl2, br1, br2, e1, e2):

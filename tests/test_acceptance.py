@@ -35,7 +35,7 @@ from biroute import (
     verify_run,
 )
 from biroute.bench import sample_queries, solve_query
-from biroute.pareto import is_bounded
+from conftest import is_bounded
 
 N_INSTANCES = 200
 RELAXED_EPS = (0.01, 0.1, 0.5, 1.0)

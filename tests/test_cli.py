@@ -66,6 +66,10 @@ class TestSolve:
         doc = solve_json(capsys, g1_files, "--eps1", "0.5", "--eps2", "0.25")
         assert (doc["eps1"], doc["eps2"]) == (0.5, 0.25)
 
+    def test_tiny_eps_is_used_as_typed(self, capsys, g1_files):
+        doc = solve_json(capsys, g1_files, "--alg", "ppa", "--eps", "0.0000004")
+        assert (doc["eps1"], doc["eps2"]) == (4e-07, 4e-07)
+
     def test_unwritable_h_cache_still_answers(self, capsys, g1_files, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory\n")
@@ -151,6 +155,16 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
         assert "boa-eps" in err
+
+    def test_boa_rejects_tiny_nonzero_eps(self, capsys, g1_files):
+        p1, p2 = g1_files
+        code, out, err = run_cli(
+            capsys, "solve", "--gr1", str(p1), "--gr2", str(p2),
+            "--source", "1", "--target", "4", "--alg", "boa", "--eps", "0.0000004",
+        )
+        assert code == EXIT_USAGE
+        assert "--alg boa is exact" in err
+        assert out == ""
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -406,6 +420,17 @@ class TestVerifyCommand:
         cells = [line for line in out.splitlines() if line.startswith("eps=")]
         assert len(cells) == 2  # one slack setting x two engines
         assert all("20/20 passed" in line for line in cells)
+
+    def test_tiny_grid_value_runs_at_that_slack(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--instances", "5", "--eps-grid", "0.0000004",
+        )
+        assert code == EXIT_OK, err
+        cells = [line for line in out.splitlines() if line.startswith("eps=")]
+        assert cells == [
+            "eps=(4e-07,4e-07) boa_eps: 5/5 passed",
+            "eps=(4e-07,4e-07) ppa: 5/5 passed",
+        ]
 
     @pytest.mark.parametrize(
         "flag, value",

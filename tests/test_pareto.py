@@ -12,16 +12,14 @@ from biroute import (
     CostVec,
     PathPair,
     SearchResult,
-    apex,
     approx_dominates,
     bigraph_from_arcs,
     compute_heuristics,
-    is_bounded,
     pareto_filter,
     ppa_search,
     random_instance,
 )
-from conftest import _first_fit, _place, pair_record, record_corners
+from conftest import _first_fit, _place, apex, is_bounded, pair_record, record_corners
 
 costs = st.tuples(st.integers(0, 40), st.integers(0, 40)).map(lambda t: CostVec(*t))
 slacks = st.sampled_from([0.0, 0.01, 0.1, 0.25, 0.5, 1.0, 3.0])

@@ -23,6 +23,7 @@ from biroute.oracle import FrontierSet
 from conftest import (
     _first_fit,
     _place,
+    is_bounded,
     pair_record,
     record_corners,
     reference_ppa_search,
@@ -240,6 +241,19 @@ class TestReferenceLoop:
         eps = ApproxFactor(*eps)
         grid = anticorrelated_grid(10, random.Random(2021))
         queries = [(grid, 0, 99)] + [random_instance(seed) for seed in range(300)]
+        # Wide costs, costs above 2^53 and a large grid: the engine skips a
+        # bucket's scan on bounds the reference loop does not keep.
+        queries += [random_instance(seed, cost_max=10**6) for seed in range(100)]
+        b = 2**53
+        for seed in range(50):
+            g, s, t = random_instance(seed, n_max=50, out_degree_max=4, cost_max=10)
+            arcs = [
+                (u, v, c1 + b, c2 + b)
+                for u in range(g.vertex_count)
+                for v, (c1, c2) in g.edges[u]
+            ]
+            queries.append((bigraph_from_arcs(g.vertex_count, arcs), s, t))
+        queries.append((anticorrelated_grid(20, random.Random(2021)), 0, 399))
         n_merges = 0
         for g, s, t in queries:
             h = h_for(g, t)
@@ -340,8 +354,6 @@ class TestRandomInstances:
             assert report.ok, report
 
     def test_every_stored_pair_is_bounded(self):
-        from biroute.pareto import is_bounded
-
         eps = ApproxFactor(0.25, 0.25)
         for seed in range(30):
             g, s, t = random_instance(seed, n_max=40, cost_max=30)
