@@ -39,16 +39,17 @@ when, with ``hi``/``lo`` its bucket's bounds and ``cap2 = nbr2 + e2*nbr2``,
 
     hi <= ntl1 and lo > nbr2 and (lo > cap2 or nbr1 > hi + e1*hi).
 
-Every resident then has ``r.tl1 <= hi <= ntl1``, so only the first
-branch of the fit test below applies. ``r.br2 >= lo > nbr2`` rules out
-its dominance fit. Its window fit needs ``r.tl2 <= cap2`` and
-``nbr1 <= r.tl1 + e1*r.tl1``: the first fails when ``lo > cap2``, as
-every stored pair has ``r.tl2 >= r.br2 >= lo``; the second fails when
-``nbr1 > hi + e1*hi``, as ``x + e1*x`` is monotone in x in floating
-point (and exact at zero slack), so ``hi + e1*hi >= r.tl1 + e1*r.tl1``.
-A child that may fit scans in insertion order exactly as before, so the
-first fit, every merge and every counter are the same with or without
-the bounds.
+Soundness, by the fit cases listed at the record layout: every resident
+has ``r.tl1 <= hi <= ntl1``, so the merge keeps r's tl and only two cases
+remain. "r both" needs ``r.br2 <= nbr2``, ruled out by
+``r.br2 >= lo > nbr2``. "r's tl, the child's br" needs both
+``r.tl2 <= cap2`` and ``nbr1 <= r.tl1 + e1*r.tl1``. The first fails when
+``lo > cap2``, as every stored record has ``r.tl2 >= r.br2 >= lo``. The
+second fails when ``nbr1 > hi + e1*hi``, as ``x + e1*x`` is monotone in
+x in floating point (and exact at zero slack), so
+``hi + e1*hi >= r.tl1 + e1*r.tl1``. A child that may fit scans in
+insertion order exactly as before, so the first fit, every merge and
+every counter are the same with or without the bounds.
 
 Goal pairs need no scan: they pop in non-decreasing tl1, and a survivor
 of the goal-bound prune has a relaxed br2 below every stored br2, so it
