@@ -26,6 +26,7 @@ from .heuristics import (
     compute_heuristics,
     graph_digest,
     load_or_compute_heuristics,
+    store_heuristics,
 )
 from .pareto import (
     EXACT,
@@ -67,6 +68,7 @@ __all__ = [
     "compute_heuristics",
     "graph_digest",
     "load_or_compute_heuristics",
+    "store_heuristics",
     "EXACT",
     "ApproxFactor",
     "PathPair",

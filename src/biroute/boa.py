@@ -41,9 +41,10 @@ def boa_search(
     validate_query(g, h, start, goal)
     result = SearchResult()
     h1, h2 = h.h1, h.h2
-    if h1[start] == UNREACHABLE:
+    if h1[start] == UNREACHABLE and not h.settle(start):
         return result
-    eps2 = eps.eps2 or 0  # zero slack as int 0 keeps eps2 * f2 exact
+    complete = h.complete  # a partial table settles the vertices it lacks
+    eps2 = eps.search_slack[1]
     edges = g.edges
     g2min: list[float | int] = [_INF] * g.vertex_count
     arena = result.arena
@@ -77,7 +78,9 @@ def boa_search(
         for target, (c1, c2) in edges[u]:
             th1 = h1[target]
             if th1 == UNREACHABLE:
-                continue
+                if complete or not h.settle(target):
+                    continue
+                th1 = h1[target]
             ng2 = g2 + c2
             nf2 = ng2 + h2[target]
             if ng2 >= g2min[target] or nf2 + eps2 * nf2 >= g2min[goal]:

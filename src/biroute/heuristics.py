@@ -1,28 +1,89 @@
-"""Admissible per-criterion lower bounds via backward Dijkstra.
+"""Admissible per-criterion lower bounds via backward Dijkstra, settled on demand.
 
 For a fixed goal vertex the table holds, per vertex and per cost
 component, the exact cheapest cost-to-goal when each criterion is
 minimized on its own. Both components are computed independently on the
 reverse adjacency, so the bounds are admissible and consistent for the
-bi-criteria searches. Vertices that cannot reach the goal get an
-UNREACHABLE sentinel that compares greater than any finite cost.
+bi-criteria searches. An entry that is not known to be finite reads
+UNREACHABLE, a sentinel that compares greater than any finite cost.
+
+A table need not be complete. Built for a query's start, it settles both
+backward searches only until the start is settled in both, and grows
+when a search reads a vertex that is not settled yet (``settle``), as
+resumable backward A* (RRA*, Silver 2005) does. Publication rule: a
+vertex's ``h1`` and ``h2`` entries become finite together, once both
+components have settled it, and never change afterwards. Tentative
+distances, heaps and per-component settled flags stay in private resume
+state. ``h1`` and ``h2`` are grown in place, because the engines bind
+them once per search. So every value an engine reads is the exact
+distance, whichever way the table was built.
+
+The disk cache (version 2) keeps one entry per (graph digest, goal): the
+pickled ``(goal, h1, h2, complete)``, never the resume state. A loaded
+partial table that must grow rebuilds its frontier from the published
+set: each reverse arc from a published vertex into an unpublished one
+offers the unpublished vertex a tentative distance, and Dijkstra resumes
+from those seeds. This multi-source restart is exact. A shortest path to
+an unpublished vertex leaves the published set, whose entries are exact,
+at a first unpublished vertex, and that vertex's seed is at most its true
+distance.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 
 from .graph import BiGraph
 
 UNREACHABLE = float("inf")
 
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
+
+
+def _settle(
+    g: BiGraph,
+    dist: list,
+    heap: list[int],
+    component: int,
+    settled: list[int] | None = None,
+    stop: int = -1,
+) -> None:
+    """Run one backward Dijkstra until ``stop`` is settled or ``heap`` is empty.
+
+    ``component`` (1 or 2) picks the cost. ``dist`` holds exact distances
+    to the goal for settled vertices and tentative ones for the rest.
+    With a ``settled`` list, each vertex settled here is appended to it
+    and the search stops after settling ``stop`` (-1: never). Without
+    one, the search runs to exhaustion.
+
+    The heap holds one int per entry, ``d * n + v``, popped back with
+    ``divmod(key, n)``. Since ``0 <= v < n``, int order on the keys is
+    tuple order on ``(d, v)``, so vertices pop in the same order as with
+    ``(d, v)`` tuples. Python ints are unbounded, so the key stays exact
+    for any cost, above 2^53 and 2^63 included.
+    """
+    n = g.vertex_count
+    reverse_edges = g.reverse_edges
+    while heap:
+        d, v = divmod(heappop(heap), n)
+        if d > dist[v]:
+            continue
+        for arc in reverse_edges[v]:
+            nd = d + arc[component]
+            source = arc[0]
+            if nd < dist[source]:
+                dist[source] = nd
+                heappush(heap, nd * n + source)
+        if settled is not None:
+            settled.append(v)
+            if v == stop:
+                return
 
 
 @dataclass
@@ -31,14 +92,105 @@ class HeuristicTable:
 
     ``h1[v]`` and ``h2[v]`` are exact single-criterion distances from ``v``
     to ``goal``, or UNREACHABLE. Both arrays assign 0 to the goal itself.
+    UNREACHABLE means that ``v`` cannot reach the goal only once the table
+    is ``complete``; in a partial table it may also mean that ``v`` is not
+    settled yet, and ``settle(v)`` tells the two apart.
+
+    Equality, repr and pickling cover the four fields; the resume state
+    of a partial table is rebuilt when it is needed.
     """
 
     goal: int
     h1: list[int | float]
     h2: list[int | float]
+    complete: bool = True
+    # Resume state of a partial table: the graph, (dist, heap) per
+    # component, and per vertex the bit mask of components (1, 2) that
+    # have settled it.
+    _graph: BiGraph | None = field(default=None, init=False, repr=False, compare=False)
+    _fronts: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _marks: bytearray | None = field(default=None, init=False, repr=False, compare=False)
+    # Whether the table holds more than its cache entry (store_heuristics).
+    _unsaved: bool = field(default=True, init=False, repr=False, compare=False)
 
-    def reachable(self, v: int) -> bool:
+    def __reduce__(self):
+        return HeuristicTable, (self.goal, self.h1, self.h2, self.complete)
+
+    def settle(self, v: int) -> bool:
+        """Grow the table until ``v`` is published or the table is complete.
+
+        Returns whether ``v`` can reach the goal.
+        """
+        if self.h1[v] == UNREACHABLE and not self.complete:
+            self._grow(v)
         return self.h1[v] != UNREACHABLE
+
+    reachable = settle
+
+    def settle_all(self) -> None:
+        """Grow the table until it is complete."""
+        if not self.complete:
+            self._grow(-1)
+
+    def _grow(self, stop: int) -> None:
+        """Settle both components through ``stop`` (-1: to exhaustion), then publish."""
+        if self._fronts is None:
+            self._restart()
+        marks = self._marks
+        fronts = self._fronts
+        new = []
+        for component, (dist, heap) in enumerate(fronts, start=1):
+            settled: list[int] = []
+            if stop < 0 or not marks[stop] & component:
+                _settle(self._graph, dist, heap, component, settled, stop)
+            new.append(settled)
+        (dist1, heap1), (dist2, heap2) = fronts
+        h1, h2 = self.h1, self.h2
+        if heap1 or heap2:
+            for component, settled in enumerate(new, start=1):
+                for v in settled:
+                    mark = marks[v] | component
+                    marks[v] = mark
+                    if mark == 3:
+                        h1[v] = dist1[v]
+                        h2[v] = dist2[v]
+        else:
+            # Both searches are exhausted, so every distance is final.
+            h1[:] = dist1
+            h2[:] = dist2
+            self.complete = True
+            self._graph = self._fronts = self._marks = None
+        self._unsaved = True
+
+    def _restart(self) -> None:
+        """Rebuild the resume state from the published entries (module docstring)."""
+        g = self._graph
+        if g is None:
+            raise ValueError("a partial heuristic table needs its graph to grow")
+        n = g.vertex_count
+        h1, h2 = self.h1, self.h2
+        dist1, dist2 = h1.copy(), h2.copy()
+        marks = bytearray(n)
+        seeds = set()
+        reverse_edges = g.reverse_edges
+        for v, d1 in enumerate(h1):
+            if d1 == UNREACHABLE:
+                continue
+            marks[v] = 3
+            d2 = h2[v]
+            for source, c1, c2 in reverse_edges[v]:
+                if h1[source] == UNREACHABLE:
+                    seeds.add(source)
+                    if d1 + c1 < dist1[source]:
+                        dist1[source] = d1 + c1
+                    if d2 + c2 < dist2[source]:
+                        dist2[source] = d2 + c2
+        heap1 = [dist1[s] * n + s for s in seeds]
+        heap2 = [dist2[s] * n + s for s in seeds]
+        heapify(heap1)
+        heapify(heap2)
+        self._fronts = ((dist1, heap1), (dist2, heap2))
+        self._marks = marks
 
 
 def validate_query(g: BiGraph, h: HeuristicTable, start: int, goal: int) -> None:
@@ -52,42 +204,35 @@ def validate_query(g: BiGraph, h: HeuristicTable, start: int, goal: int) -> None
         raise ValueError("heuristic table size does not match the graph")
 
 
-def _backward_dijkstra(g: BiGraph, goal: int, component: int) -> list[int | float]:
-    """Exact distances to ``goal`` in cost component ``component`` (1 or 2).
-
-    The heap holds one int per entry, ``d * n + v``, popped back with
-    ``divmod(key, n)``. Since ``0 <= v < n``, int order on the keys is
-    tuple order on ``(d, v)``, so vertices pop in the same order as with
-    ``(d, v)`` tuples. Python ints are unbounded, so the key stays exact
-    for any cost, above 2^53 and 2^63 included.
-    """
+def _check_vertices(g: BiGraph, goal: int, start: int | None) -> None:
     n = g.vertex_count
-    dist: list[int | float] = [UNREACHABLE] * n
-    dist[goal] = 0
-    heap = [goal]
-    reverse_edges = g.reverse_edges
-    while heap:
-        d, v = divmod(heapq.heappop(heap), n)
-        if d > dist[v]:
-            continue
-        for arc in reverse_edges[v]:
-            nd = d + arc[component]
-            source = arc[0]
-            if nd < dist[source]:
-                dist[source] = nd
-                heapq.heappush(heap, nd * n + source)
-    return dist
+    if not (0 <= goal < n):
+        raise ValueError(f"goal {goal} outside [0, {n})")
+    if start is not None and not (0 <= start < n):
+        raise ValueError(f"start {start} outside [0, {n})")
 
 
-def compute_heuristics(g: BiGraph, goal: int) -> HeuristicTable:
-    """Run the two backward Dijkstras for ``goal`` and return the table."""
-    if not (0 <= goal < g.vertex_count):
-        raise ValueError(f"goal {goal} outside [0, {g.vertex_count})")
-    return HeuristicTable(
-        goal=goal,
-        h1=_backward_dijkstra(g, goal, 1),
-        h2=_backward_dijkstra(g, goal, 2),
-    )
+def compute_heuristics(g: BiGraph, goal: int, start: int | None = None) -> HeuristicTable:
+    """Run the two backward Dijkstras for ``goal`` and return the table.
+
+    Without ``start`` the table is complete. With it, both searches stop
+    once ``start`` is settled in both, and the table grows on demand.
+    """
+    _check_vertices(g, goal, start)
+    n = g.vertex_count
+    dist1: list[int | float] = [UNREACHABLE] * n
+    dist2 = dist1.copy()
+    dist1[goal] = dist2[goal] = 0
+    if start is None:
+        _settle(g, dist1, [goal], 1)
+        _settle(g, dist2, [goal], 2)
+        return HeuristicTable(goal, dist1, dist2)
+    table = HeuristicTable(goal, [UNREACHABLE] * n, [UNREACHABLE] * n, complete=False)
+    table._graph = g
+    table._fronts = ((dist1, [goal]), (dist2, [goal]))
+    table._marks = bytearray(n)
+    table.settle(start)
+    return table
 
 
 def graph_digest(g: BiGraph) -> str:
@@ -106,44 +251,82 @@ def graph_digest(g: BiGraph) -> str:
     return g._digest
 
 
-def load_or_compute_heuristics(
-    g: BiGraph, goal: int, cache_dir: str | None = None
-) -> HeuristicTable:
-    """compute_heuristics with an optional binary cache.
+def _cache_path(g: BiGraph, goal: int, cache_dir: str) -> Path:
+    return Path(cache_dir) / f"h-{graph_digest(g)}-{goal}-v{_CACHE_VERSION}.pkl"
 
-    Cache entries are keyed by (graph content hash, goal), so a stale file
-    from a different graph can never be returned for this one. A missing,
-    unreadable or misshapen entry is recomputed and rewritten, through a
-    temp file of its own so that concurrent writers never clash. A cache
-    that cannot be written (any OSError while creating the directory or
-    writing the entry) leaves the table uncached; the table is returned.
-    """
-    if cache_dir is None:
-        return compute_heuristics(g, goal)
-    key = f"{graph_digest(g)}-{goal}-v{_CACHE_VERSION}"
-    cache_path = Path(cache_dir) / f"h-{key}.pkl"
+
+def _load_entry(path: Path, g: BiGraph, goal: int) -> HeuristicTable | None:
+    """The table stored at ``path`` for ``goal``, or None if it is missing or invalid."""
     try:
-        with open(cache_path, "rb") as fh:
+        with open(path, "rb") as fh:
             table = pickle.load(fh)
+        valid = (
+            isinstance(table, HeuristicTable)
+            and table.goal == goal
+            and isinstance(table.complete, bool)
+            and len(table.h1) == len(table.h2) == g.vertex_count
+            and table.h1[goal] == table.h2[goal] == 0
+        )
     except Exception:  # missing (OSError) or corrupt: pickle may raise anything
-        table = None
-    if (
-        isinstance(table, HeuristicTable)
-        and table.goal == goal
-        and len(table.h1) == len(table.h2) == g.vertex_count
-    ):
-        return table
-    table = compute_heuristics(g, goal)
+        return None
+    if not valid:
+        return None
+    table._graph = g
+    table._unsaved = False
+    return table
+
+
+def store_heuristics(g: BiGraph, h: HeuristicTable, cache_dir: str) -> None:
+    """Write ``h`` as the cache entry for (``g``, ``h.goal``) if it holds anything new.
+
+    A table loaded from the cache, or stored before, is written again only
+    if it has grown since. The entry goes through a temp file of its own
+    and ``os.replace``, so concurrent writers never clash. A cache that
+    cannot be written (any OSError while creating the directory or
+    writing the entry) leaves the entry as it was.
+    """
+    if not h._unsaved:
+        return
+    cache_path = _cache_path(g, h.goal, cache_dir)
     try:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=cache_path.parent, prefix=cache_path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(table, fh)
+                pickle.dump(h, fh)
             os.replace(tmp_name, cache_path)
         except BaseException:
             os.unlink(tmp_name)
             raise
     except OSError:
-        pass  # an unwritable cache only costs the next call a recompute
+        return  # an unwritable cache only costs a later call a recompute
+    h._unsaved = False
+
+
+def load_or_compute_heuristics(
+    g: BiGraph, goal: int, cache_dir: str | None = None, start: int | None = None
+) -> HeuristicTable:
+    """compute_heuristics with an optional disk cache.
+
+    Cache entries are keyed by (graph content hash, goal), so a stale file
+    from a different graph can never be returned for this one. A missing,
+    unreadable or misshapen entry is recomputed. Without ``start`` the
+    table is complete: a partial entry is grown to completion, and a table
+    that holds more than its entry is written back (``store_heuristics``).
+    With ``start`` the table is settled at least through ``start`` and
+    nothing is written: the caller stores the table once its search is
+    done, so that the entry keeps everything the search settled.
+    """
+    args = (g, goal) if start is None else (g, goal, start)
+    if cache_dir is None:
+        return compute_heuristics(*args)
+    _check_vertices(g, goal, start)
+    table = _load_entry(_cache_path(g, goal, cache_dir), g, goal)
+    if table is None:
+        table = compute_heuristics(*args)
+    elif start is not None:
+        table.settle(start)
+    if start is None:
+        table.settle_all()
+        store_heuristics(g, table, cache_dir)
     return table

@@ -7,16 +7,25 @@ dominates ``y`` componentwise when ``x <= (1 + eps) * y``, evaluated as
 ``x <= y + eps * y``. A zero slack is read as the int 0 (``eps.eps1 or 0``)
 so that ``eps = 0`` stays exact in integers even above 2**53, where
 ``y + 0.0 * y`` would round; a positive slack is applied in double
-precision. The engines read their slack the same way.
+precision. The engines read their slack the same way, through
+``ApproxFactor.search_slack``, which also caps it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .graph import CostVec
+
+# The largest slack an engine searches at. A larger float slack makes
+# ``f + e * f`` overflow to inf at small costs (1e308 * 2 already does),
+# and an inf bound meets the goal-bound prune before any goal path is
+# found. Under the cap, costs up to about 2**1024 / 2**52, roughly
+# 10^292, keep every bound finite.
+SLACK_CAP = 2**52
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,16 @@ class ApproxFactor:
     @classmethod
     def uniform(cls, eps: float) -> "ApproxFactor":
         return cls(eps, eps)
+
+    @cached_property
+    def search_slack(self) -> tuple[int | float, int | float]:
+        """The (e1, e2) an engine applies, read once per search.
+
+        Each component is capped at ``SLACK_CAP`` and a zero slack is the
+        int 0, as the module docstring describes. An answer within the
+        capped slack is within the requested one too.
+        """
+        return min(self.eps1, SLACK_CAP) or 0, min(self.eps2, SLACK_CAP) or 0
 
 
 EXACT = ApproxFactor(0.0, 0.0)

@@ -120,9 +120,10 @@ def ppa_search(
     validate_query(g, h, start, goal)
     result = SearchResult()
     h1, h2 = h.h1, h.h2
-    if h1[start] == UNREACHABLE:
+    if h1[start] == UNREACHABLE and not h.settle(start):
         return result
-    e1, e2 = eps.eps1 or 0, eps.eps2 or 0  # zero slack as int 0 stays exact
+    complete = h.complete  # a partial table settles the vertices it lacks
+    e1, e2 = eps.search_slack
     edges = g.edges
     arena = result.arena
     append = arena.append
@@ -163,7 +164,9 @@ def ppa_search(
         for target, (c1, c2) in edges[u]:
             th1 = h1[target]
             if th1 == UNREACHABLE:
-                continue
+                if complete or not h.settle(target):
+                    continue
+                th1 = h1[target]
             nbr2 = br2 + c2
             nf2 = nbr2 + h2[target]
             if nbr2 >= g2min[target] or nf2 + e2 * nf2 >= g2min[goal]:

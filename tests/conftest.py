@@ -1,5 +1,9 @@
 """Shared fixtures: a small hand-checkable graph and on-disk .gr pairs.
 
+Also the reference backward Dijkstra, ``_backward_dijkstra``, that
+settles every vertex in one run; heuristic tables, complete or grown on
+demand, must reproduce its distances.
+
 Also the placement spec of the path-pair search: ``apex`` and
 ``is_bounded`` define a pair's best corner and its slack bound,
 ``_first_fit`` and ``_place`` state, one call per child, what the
@@ -7,6 +11,7 @@ engine's child loop does inline, and ``reference_ppa_search`` is the loop
 built on them.
 """
 
+import heapq
 from collections import defaultdict
 from heapq import heappop, heappush
 
@@ -29,6 +34,46 @@ G1_ARCS = [
     (2, 3, 4, 1),
     (0, 3, 9, 9),
 ]
+
+
+def _backward_dijkstra(g: BiGraph, goal: int, component: int) -> list[int | float]:
+    """Exact distances to ``goal`` in cost component ``component`` (1 or 2).
+
+    The heap holds one int per entry, ``d * n + v``, popped back with
+    ``divmod(key, n)``. Since ``0 <= v < n``, int order on the keys is
+    tuple order on ``(d, v)``, so vertices pop in the same order as with
+    ``(d, v)`` tuples. Python ints are unbounded, so the key stays exact
+    for any cost, above 2^53 and 2^63 included.
+    """
+    n = g.vertex_count
+    dist: list[int | float] = [UNREACHABLE] * n
+    dist[goal] = 0
+    heap = [goal]
+    reverse_edges = g.reverse_edges
+    while heap:
+        d, v = divmod(heapq.heappop(heap), n)
+        if d > dist[v]:
+            continue
+        for arc in reverse_edges[v]:
+            nd = d + arc[component]
+            source = arc[0]
+            if nd < dist[source]:
+                dist[source] = nd
+                heapq.heappush(heap, nd * n + source)
+    return dist
+
+
+def anticorrelated_grid(side, rng):
+    """Both directions of every 4-neighbour arc, c1 in [1,100], c2 ~ 110 - c1."""
+    arcs = []
+    for r in range(side):
+        for c in range(side):
+            for rr, cc in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)):
+                if 0 <= rr < side and 0 <= cc < side:
+                    c1 = rng.randint(1, 100)
+                    c2 = max(1, 110 - c1 + rng.randint(-10, 10))
+                    arcs.append((r * side + c, rr * side + cc, c1, c2))
+    return bigraph_from_arcs(side * side, arcs)
 
 
 def pair_record(seq, tl_cost, br_cost, h=(0, 0)):
@@ -136,7 +181,7 @@ def reference_ppa_search(g, h, start, goal, eps=EXACT):
     h1, h2 = h.h1, h.h2
     if h1[start] == UNREACHABLE:
         return result
-    e1, e2 = eps.eps1 or 0, eps.eps2 or 0
+    e1, e2 = eps.search_slack
     edges = g.edges
     arena = result.arena
     append = arena.append

@@ -288,6 +288,27 @@ def test_exact_engines_agree_with_costs_above_2_53():
     )
 
 
+def test_huge_slack_keeps_reachable_answers():
+    # At slack 1e308, f2 + eps2 * f2 overflowed to inf and met the goal-bound
+    # prune while the goal's record was still inf, emptying the answer.
+    failures = []
+    runs = 0
+    for seed, g, s, t in seeded_instances():
+        h = compute_heuristics(g, t)
+        reference = exact_frontier(g, s, t)
+        for eps in (ApproxFactor.uniform(1e308), ApproxFactor(0, 1e308), ApproxFactor(1e308, 0)):
+            for name, engine in (("boa_eps", boa_search), ("ppa", ppa_search)):
+                costs = engine(g, h, s, t, eps).solution_costs()
+                runs += 1
+                if not check_approx_frontier(costs, reference, eps).ok:
+                    failures.append((seed, name, eps.eps1, eps.eps2))
+    check(
+        f"at slacks of 1e308 both engines cover the frontier in all {runs} runs",
+        not failures,
+        f"failures {failures[:5]}",
+    )
+
+
 def _run_all() -> int:
     steps = [
         test_exact_engines_agree_on_seeded_instances,
@@ -299,6 +320,7 @@ def _run_all() -> int:
         test_uniform_slack_three_collapses_hand_graph,
         test_zero_slack_stays_exact_above_2_53,
         test_exact_engines_agree_with_costs_above_2_53,
+        test_huge_slack_keeps_reachable_answers,
     ]
     passed = failed = skipped = 0
     for step in steps:

@@ -4,6 +4,7 @@ import csv
 import gzip
 import io
 import json
+import random
 import zlib
 
 import pytest
@@ -19,6 +20,7 @@ from biroute import (
     write_gr_pair,
 )
 from biroute.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from conftest import anticorrelated_grid
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +83,32 @@ class TestSolve:
             del doc["time_ms"], doc["heuristic_ms"]
         assert docs[1] == docs[0]
         assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("alg", ["ppa", "boa"])
+    def test_shared_h_cache_answers_as_uncached(self, capsys, tmp_path, alg):
+        # Two sources to one target on a 10x10 grid, in both orders: the
+        # second run of each order loads the first one's partial entry
+        # and grows it.
+        files = (tmp_path / "grid.c1.gr", tmp_path / "grid.c2.gr")
+        write_gr_pair(anticorrelated_grid(10, random.Random(2021)), *files)
+        sources, target = ("19", "91"), "47"
+
+        def solve(source, *extra):
+            code, out, err = run_cli(
+                capsys, "solve", "--gr1", str(files[0]), "--gr2", str(files[1]),
+                "--source", source, "--target", target, "--alg", alg, "--paths", *extra,
+            )
+            assert code == EXIT_OK, err
+            doc = json.loads(out)
+            del doc["time_ms"], doc["heuristic_ms"]
+            return doc
+
+        plain = {source: solve(source) for source in sources}
+        for order in (sources, sources[::-1]):
+            cache = tmp_path / f"cache-{order[0]}"
+            for source in order:
+                assert solve(source, "--h-cache", str(cache)) == plain[source]
+            assert len(list(cache.iterdir())) == 1
 
     def test_gzipped_input(self, capsys, g1, tmp_path):
         p1, p2 = tmp_path / "a.gr.gz", tmp_path / "b.gr.gz"

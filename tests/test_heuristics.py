@@ -11,15 +11,22 @@ import pytest
 
 import biroute.heuristics as heuristics_module
 from biroute import (
+    EXACT,
     UNREACHABLE,
+    ApproxFactor,
     Edge,
     HeuristicTable,
     bigraph_from_arcs,
+    boa_search,
     compute_heuristics,
     graph_digest,
     load_or_compute_heuristics,
+    ppa_search,
+    random_instance,
+    store_heuristics,
 )
-from conftest import G1_ARCS
+from biroute.bench import solve_query
+from conftest import G1_ARCS, _backward_dijkstra, anticorrelated_grid
 
 
 def forward_dijkstra(adjacency, source, component):
@@ -57,6 +64,44 @@ def random_graph(rng):
         for _ in range(rng.randint(0, 30))
     ]
     return bigraph_from_arcs(n, arcs)
+
+
+def shifted(g, by):
+    """``g`` with every arc cost raised by ``by`` in both components."""
+    return bigraph_from_arcs(g.vertex_count, [
+        (u, e.target, e.cost.c1 + by, e.cost.c2 + by)
+        for u in range(g.vertex_count) for e in g.edges[u]
+    ])
+
+
+def published(h):
+    return sum(d != UNREACHABLE for d in h.h1)
+
+
+def grid_vertex(side, row, col):
+    return row * side + col
+
+
+@pytest.fixture(scope="module")
+def partial_queries():
+    """(graph, start, goal) queries whose tables a search grows on demand.
+
+    ``random_instance`` at its default costs, at costs up to 10^6 and with
+    every cost shifted by 2^53, plus 10x10 and 20x20 anticorrelated grids
+    from a corner and from inner starts.
+    """
+    queries = [random_instance(seed) for seed in range(60)]
+    queries += [random_instance(seed, cost_max=10**6) for seed in range(30)]
+    for seed in range(30):
+        g, s, t = random_instance(seed, n_max=50, out_degree_max=4, cost_max=10)
+        queries.append((shifted(g, 2**53), s, t))
+    for side in (10, 20):
+        g = anticorrelated_grid(side, random.Random(2021))
+        corner = ((0, 0), (side - 1, side - 1))
+        inner = (((2, 2), (6, 5)), ((1, side - 2), (4, side - 4)))
+        for start, goal in (corner, *inner):
+            queries.append((g, grid_vertex(side, *start), grid_vertex(side, *goal)))
+    return queries
 
 
 class TestHandValues:
@@ -99,18 +144,11 @@ class TestAgainstForwardDijkstra:
     def test_costs_above_2_62_stay_exact(self):
         # Heap keys d * n + v exceed 2^63 here; ints keep them exact.
         big = 2**62
-
-        def shifted(g):
-            return bigraph_from_arcs(g.vertex_count, [
-                (u, e.target, e.cost.c1 + big, e.cost.c2 + big)
-                for u in range(g.vertex_count) for e in g.edges[u]
-            ])
-
         rng = random.Random(3)
         # Random graphs add multi-hop distances, where a rounded key or
         # distance would lose the low bits.
-        graphs = [shifted(bigraph_from_arcs(4, G1_ARCS))]
-        graphs += [shifted(random_graph(rng)) for _ in range(50)]
+        graphs = [shifted(bigraph_from_arcs(4, G1_ARCS), big)]
+        graphs += [shifted(random_graph(rng), big) for _ in range(50)]
         # One shift per arc makes the direct arc 0->3 the cheapest in both.
         h = compute_heuristics(graphs[0], 3)
         assert h.h1 == [9 + big, 1 + big, 4 + big, 0]
@@ -155,8 +193,15 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "content",
-        [b"", b"garbage\n", pickle.dumps(HeuristicTable(goal=3, h1=[0], h2=[0]))],
-        ids=["empty", "garbage", "misshapen"],
+        [
+            b"",
+            b"garbage\n",
+            pickle.dumps(HeuristicTable(goal=3, h1=[0], h2=[0])),
+            pickle.dumps(HeuristicTable(3, [2, 1, 4, 0], [2, 4, 1, 0], complete=1)),
+            pickle.dumps(HeuristicTable(3, [2, 1, 4, 0], [2, 4, 1], complete=False)),
+            pickle.dumps(HeuristicTable(3, [2, 1, 4, 1], [2, 4, 1, 0], complete=False)),
+        ],
+        ids=["empty", "garbage", "misshapen", "non_bool_complete", "short_h2", "goal_not_zero"],
     )
     def test_bad_entry_is_recomputed_and_rewritten(self, g1, tmp_path, content):
         load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
@@ -264,3 +309,168 @@ class TestDigestMemo:
         graph_digest(g1)
         assert g1 == twin and repr(g1) == repr(twin) == before
         assert "digest" not in before
+
+
+def engine_outputs(res):
+    stats = res.stats
+    counters = (stats.n_expanded, stats.n_generated, stats.n_merges)
+    return counters, res.arena, res.pairs, res.solutions, res.costs
+
+
+class TestPartialTables:
+    """Tables settled through a start and grown on demand, against the reference."""
+
+    @staticmethod
+    def assert_published_entries_exact(h, ref1, ref2):
+        # An entry is published in both components or in neither.
+        for v, (d1, d2) in enumerate(zip(h.h1, h.h2)):
+            assert (d1, d2) in ((UNREACHABLE, UNREACHABLE), (ref1[v], ref2[v])), v
+
+    def test_published_entries_are_exact(self, partial_queries):
+        rng = random.Random(4)
+        for g, s, t in partial_queries:
+            ref1, ref2 = _backward_dijkstra(g, t, 1), _backward_dijkstra(g, t, 2)
+            h = compute_heuristics(g, t, s)
+            assert (h.h1[s], h.h2[s]) == (ref1[s], ref2[s])
+            self.assert_published_entries_exact(h, ref1, ref2)
+            for v in rng.sample(range(g.vertex_count), min(5, g.vertex_count)):
+                assert h.settle(v) == (ref1[v] != UNREACHABLE)
+                self.assert_published_entries_exact(h, ref1, ref2)
+
+    def test_settling_every_vertex_reproduces_the_reference(self, partial_queries):
+        rng = random.Random(5)
+        # Random graphs leave vertices unreachable; the 2^62 shift puts
+        # heap keys above 2^63.
+        queries = list(partial_queries)
+        for _ in range(100):
+            g = shifted(random_graph(rng), 2**62)
+            queries.append((g, rng.randrange(g.vertex_count), rng.randrange(g.vertex_count)))
+        for g, s, t in queries:
+            ref1, ref2 = _backward_dijkstra(g, t, 1), _backward_dijkstra(g, t, 2)
+            one_by_one = compute_heuristics(g, t, s)
+            order = list(range(g.vertex_count))
+            rng.shuffle(order)
+            for v in order:
+                one_by_one.settle(v)
+            assert one_by_one.h1 == ref1 and one_by_one.h2 == ref2
+            at_once = compute_heuristics(g, t, s)
+            for h in (one_by_one, at_once):
+                # Stale heap entries may keep a fully published table
+                # partial until its heaps are drained.
+                h.settle_all()
+                assert h.complete
+                assert h.h1 == ref1 and h.h2 == ref2
+                assert h == compute_heuristics(g, t)
+
+    @pytest.mark.parametrize(
+        "eps", [(0, 0), (0.01, 0.01), (0.1, 0.1), (0, 0.5)], ids=lambda e: f"{e[0]}-{e[1]}"
+    )
+    def test_engines_answer_the_same_from_every_table(self, partial_queries, tmp_path, eps):
+        # Complete, fresh partial, and partial for another start, stored,
+        # reloaded and grown from its published entries.
+        eps = ApproxFactor(*eps)
+        rng = random.Random(6)
+        grown = 0
+        for g, s, t in partial_queries:
+            other = compute_heuristics(g, t, rng.randrange(g.vertex_count))
+            other_published = published(other)
+            store_heuristics(g, other, tmp_path)
+            for engine in (boa_search, ppa_search):
+                tables = [
+                    compute_heuristics(g, t),
+                    compute_heuristics(g, t, s),
+                    load_or_compute_heuristics(g, t, tmp_path, start=s),
+                ]
+                outputs = [engine_outputs(engine(g, h, s, t, eps)) for h in tables]
+                assert outputs[0] == outputs[1] == outputs[2]
+                grown += published(tables[2]) > other_published
+        assert grown > 0
+
+    def test_pickle_keeps_only_the_published_table(self, g1):
+        h = compute_heuristics(g1, 3, 1)
+        assert not h.complete
+        loaded = pickle.loads(pickle.dumps(h))
+        assert loaded == h and "_fronts" not in repr(loaded)
+        # Without its graph, a loaded partial table cannot grow.
+        with pytest.raises(ValueError):
+            loaded.settle(0)
+
+    def test_start_out_of_range(self, g1, tmp_path):
+        for start in (-1, 4):
+            with pytest.raises(ValueError):
+                compute_heuristics(g1, 3, start)
+            with pytest.raises(ValueError):
+                load_or_compute_heuristics(g1, 3, tmp_path, start=start)
+
+
+class TestPartialCache:
+    """What ``solve_query`` writes to the cache, and when."""
+
+    SIDE = 10
+    START, FARTHER, GOAL = (1, 8), (9, 0), (4, 6)
+
+    @pytest.fixture
+    def grid(self):
+        return anticorrelated_grid(self.SIDE, random.Random(2021))
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        calls = []
+
+        def replace(src, dst):
+            calls.append(dst)
+            os.replace(src, dst)
+
+        monkeypatch.setattr(
+            heuristics_module,
+            "os",
+            types.SimpleNamespace(fdopen=os.fdopen, replace=replace, unlink=os.unlink),
+        )
+        return calls
+
+    def solve(self, g, start, cache):
+        goal = grid_vertex(self.SIDE, *self.GOAL)
+        return solve_query(g, grid_vertex(self.SIDE, *start), goal, "ppa", EXACT, h_cache_dir=cache)
+
+    @staticmethod
+    def entry(cache):
+        (path,) = cache.iterdir()
+        with open(path, "rb") as fh:
+            return pickle.load(fh)
+
+    def test_miss_writes_one_entry_after_its_search(self, grid, tmp_path, writes):
+        self.solve(grid, self.START, tmp_path)
+        assert len(writes) == 1
+        stored = self.entry(tmp_path)
+        built = compute_heuristics(
+            grid, grid_vertex(self.SIDE, *self.GOAL), grid_vertex(self.SIDE, *self.START)
+        )
+        # The entry carries what the search settled past the start.
+        assert not stored.complete and published(stored) > published(built)
+
+    def test_hit_that_settles_nothing_writes_nothing(self, grid, tmp_path, writes):
+        self.solve(grid, self.START, tmp_path)
+        before = self.entry(tmp_path)
+        writes.clear()
+        report, _ = self.solve(grid, self.START, tmp_path)
+        assert writes == [] and self.entry(tmp_path) == before
+
+    def test_farther_start_grows_and_rewrites(self, grid, tmp_path, writes):
+        self.solve(grid, self.START, tmp_path)
+        before = self.entry(tmp_path)
+        writes.clear()
+        self.solve(grid, self.FARTHER, tmp_path)
+        assert len(writes) == 1
+        after = self.entry(tmp_path)
+        farther = grid_vertex(self.SIDE, *self.FARTHER)
+        assert before.h1[farther] == UNREACHABLE != after.h1[farther]
+        assert published(after) > published(before)
+        assert all(a == b for a, b in zip(after.h1, before.h1) if b != UNREACHABLE)
+
+    def test_partial_entry_loads_complete_without_start(self, grid, tmp_path):
+        self.solve(grid, self.START, tmp_path)
+        goal = grid_vertex(self.SIDE, *self.GOAL)
+        assert not self.entry(tmp_path).complete
+        h = load_or_compute_heuristics(grid, goal, tmp_path)
+        assert h.complete and h == compute_heuristics(grid, goal)
+        assert self.entry(tmp_path) == h

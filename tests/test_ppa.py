@@ -23,6 +23,7 @@ from biroute.oracle import FrontierSet
 from conftest import (
     _first_fit,
     _place,
+    anticorrelated_grid,
     is_bounded,
     pair_record,
     record_corners,
@@ -165,19 +166,6 @@ class TestQueueAndMerging:
             heapq.heappush(heap, rec)
         # Lexicographic by (f1, f2), FIFO by seq on ties.
         assert [heapq.heappop(heap)[2] for _ in range(3)] == [2, 3, 1]
-
-
-def anticorrelated_grid(side, rng):
-    """Both directions of every 4-neighbour arc, c1 in [1,100], c2 ~ 110 - c1."""
-    arcs = []
-    for r in range(side):
-        for c in range(side):
-            for rr, cc in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)):
-                if 0 <= rr < side and 0 <= cc < side:
-                    c1 = rng.randint(1, 100)
-                    c2 = max(1, 110 - c1 + rng.randint(-10, 10))
-                    arcs.append((r * side + c, rr * side + cc, c1, c2))
-    return bigraph_from_arcs(side * side, arcs)
 
 
 class TestAnticorrelatedGrid:
