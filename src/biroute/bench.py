@@ -9,10 +9,11 @@ CSV schema is fixed and documented here once:
 ``solution_costs`` is semicolon-joined ``c1:c2`` entries. Vertex ids in
 reports are 1-based, matching the DIMACS files the graphs come from.
 Search time and heuristic time are reported separately. ``solve_query``
-without a given table builds one settled only through its start (see
-``heuristics``): ``heuristic_ms`` covers the cache load or that build,
-plus the cache write after the search, and ``time_ms`` covers the
-search, including whatever it settles of the table on demand. A
+without a given table builds one settled through its start and at least
+60% of the vertices (see ``heuristics``): ``heuristic_ms`` covers the
+cache load or that build, plus the cache write after the search, and
+``time_ms`` covers the search, including whatever it settles of the
+table on demand. A
 benchmark's tables are complete, and its ``heuristic_ms`` is one build
 per goal.
 After the data rows a benchmark appends, per (algorithm, eps1, eps2) in

@@ -8,15 +8,23 @@ bi-criteria searches. An entry that is not known to be finite reads
 UNREACHABLE, a sentinel that compares greater than any finite cost.
 
 A table need not be complete. Built for a query's start, it settles both
-backward searches only until the start is settled in both, and grows
-when a search reads a vertex that is not settled yet (``settle``), as
-resumable backward A* (RRA*, Silver 2005) does. Publication rule: a
-vertex's ``h1`` and ``h2`` entries become finite together, once both
-components have settled it, and never change afterwards. Tentative
-distances, heaps and per-component settled flags stay in private resume
-state. ``h1`` and ``h2`` are grown in place, because the engines bind
-them once per search. So every value an engine reads is the exact
-distance, whichever way the table was built.
+backward searches until the start is settled in both and each has
+settled at least ``SETTLE_FLOOR`` (60%) of the graph's vertices, and
+grows when a search reads a vertex that is not settled yet (``settle``),
+as resumable backward A* (RRA*, Silver 2005) does. Stopping at the
+start alone would make a build cost in proportion to the share of
+vertices nearer the goal than the start: anywhere from nothing to a
+complete table, for starts drawn uniformly. The floor gives up part of
+that saving for a steadier cost, between 60% and all of a complete
+build, and a later query to that goal finds its start settled if the
+start is among the nearer 60% of the vertices in both criteria.
+
+Publication rule: a vertex's ``h1`` and ``h2`` entries become finite
+together, once both components have settled it, and never change
+afterwards. Tentative distances, heaps and per-component settled flags
+stay in private resume state. ``h1`` and ``h2`` are grown in place,
+because the engines bind them once per search. So every value an engine
+reads is the exact distance, whichever way the table was built.
 
 The disk cache (version 2) keeps one entry per (graph digest, goal): the
 pickled ``(goal, h1, h2, complete)``, never the resume state. A loaded
@@ -32,6 +40,7 @@ distance.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import tempfile
@@ -43,6 +52,11 @@ from .graph import BiGraph
 
 UNREACHABLE = float("inf")
 
+# Share of the vertices that each backward search of a table built for a
+# start settles at the least. A higher floor makes a build's cost vary
+# less with the start and saves less (module docstring).
+SETTLE_FLOOR = 0.6
+
 _CACHE_VERSION = 2
 
 
@@ -53,14 +67,16 @@ def _settle(
     component: int,
     settled: list[int] | None = None,
     stop: int = -1,
+    count: int = 0,
 ) -> None:
     """Run one backward Dijkstra until ``stop`` is settled or ``heap`` is empty.
 
     ``component`` (1 or 2) picks the cost. ``dist`` holds exact distances
     to the goal for settled vertices and tentative ones for the rest.
     With a ``settled`` list, each vertex settled here is appended to it
-    and the search stops after settling ``stop`` (-1: never). Without
-    one, the search runs to exhaustion.
+    and the search stops after settling ``stop`` (-1: never) or once the
+    list holds ``count`` vertices (0: never). Without one, the search
+    runs to exhaustion.
 
     The heap holds one int per entry, ``d * n + v``, popped back with
     ``divmod(key, n)``. Since ``0 <= v < n``, int order on the keys is
@@ -82,7 +98,7 @@ def _settle(
                 heappush(heap, nd * n + source)
         if settled is not None:
             settled.append(v)
-            if v == stop:
+            if v == stop or len(settled) == count:
                 return
 
 
@@ -132,8 +148,12 @@ class HeuristicTable:
         if not self.complete:
             self._grow(-1)
 
-    def _grow(self, stop: int) -> None:
-        """Settle both components through ``stop`` (-1: to exhaustion), then publish."""
+    def _grow(self, stop: int, floor: int = 0) -> None:
+        """Settle both components through ``stop`` (-1: to exhaustion), then publish.
+
+        Each component settles at least ``floor`` vertices in this call,
+        or all it has left.
+        """
         if self._fronts is None:
             self._restart()
         marks = self._marks
@@ -143,6 +163,8 @@ class HeuristicTable:
             settled: list[int] = []
             if stop < 0 or not marks[stop] & component:
                 _settle(self._graph, dist, heap, component, settled, stop)
+            if len(settled) < floor:
+                _settle(self._graph, dist, heap, component, settled, count=floor)
             new.append(settled)
         (dist1, heap1), (dist2, heap2) = fronts
         h1, h2 = self.h1, self.h2
@@ -216,7 +238,8 @@ def compute_heuristics(g: BiGraph, goal: int, start: int | None = None) -> Heuri
     """Run the two backward Dijkstras for ``goal`` and return the table.
 
     Without ``start`` the table is complete. With it, both searches stop
-    once ``start`` is settled in both, and the table grows on demand.
+    once ``start`` is settled in both and each has settled at least
+    ``SETTLE_FLOOR`` of the vertices, and the table grows on demand.
     """
     _check_vertices(g, goal, start)
     n = g.vertex_count
@@ -231,7 +254,7 @@ def compute_heuristics(g: BiGraph, goal: int, start: int | None = None) -> Heuri
     table._graph = g
     table._fronts = ((dist1, [goal]), (dist2, [goal]))
     table._marks = bytearray(n)
-    table.settle(start)
+    table._grow(start, math.ceil(SETTLE_FLOOR * n))
     return table
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import heapq
+import math
 import os
 import pickle
 import random
@@ -337,6 +338,21 @@ class TestPartialTables:
                 assert h.settle(v) == (ref1[v] != UNREACHABLE)
                 self.assert_published_entries_exact(h, ref1, ref2)
 
+    def test_build_settles_the_floor_in_each_component(self, partial_queries):
+        # Past the start, each search of a build settles SETTLE_FLOOR of
+        # the vertices, or all that reach the goal (the table is then
+        # complete).
+        partial = 0
+        for g, s, t in partial_queries:
+            h = compute_heuristics(g, t, s)
+            if h.complete:
+                continue
+            partial += 1
+            floor = math.ceil(heuristics_module.SETTLE_FLOOR * g.vertex_count)
+            for component in (1, 2):
+                assert sum(mark & component > 0 for mark in h._marks) >= floor
+        assert partial > 0
+
     def test_settling_every_vertex_reproduces_the_reference(self, partial_queries):
         rng = random.Random(5)
         # Random graphs leave vertices unreachable; the 2^62 shift puts
@@ -392,8 +408,9 @@ class TestPartialTables:
         loaded = pickle.loads(pickle.dumps(h))
         assert loaded == h and "_fronts" not in repr(loaded)
         # Without its graph, a loaded partial table cannot grow.
+        unsettled = loaded.h1.index(UNREACHABLE)
         with pytest.raises(ValueError):
-            loaded.settle(0)
+            loaded.settle(unsettled)
 
     def test_start_out_of_range(self, g1, tmp_path):
         for start in (-1, 4):
