@@ -9,9 +9,14 @@ tests run at generation and again at extraction, which doubles as lazy
 deletion of entries obsoleted while queued.
 
 With zero slack this enumerates exactly the Pareto-optimal cost vectors.
-A positive slack relaxes only the goal-bound test, multiplying f2 by
-(1 + eps2) before comparing, so provably-covered paths are dropped early
-and the returned set shrinks toward a single solution as the slack grows.
+A positive slack relaxes only the goal-bound test: a path is dropped when
+f2 * (1 + eps2) reaches the goal's record, so provably-covered paths are
+dropped early and the returned set shrinks toward a single solution as
+the slack grows. The record changes only when a goal path is expanded;
+that expansion sets ``cut = goal_cut(g2, ratio)``, the least int f2 that
+the relaxed test drops, exactly in integers from eps2's ``(num, den)``.
+Every other goal-bound test is then one int compare, ``f2 >= cut``, and
+the engine does no float slack arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import heapq
 
 from .graph import BiGraph, CostVec
 from .heuristics import UNREACHABLE, HeuristicTable, validate_query
-from .pareto import EXACT, ApproxFactor, SearchResult
+from .pareto import EXACT, ApproxFactor, SearchResult, goal_cut
 
 _INF = float("inf")
 
@@ -44,7 +49,8 @@ def boa_search(
     if h1[start] == UNREACHABLE and not h.settle(start):
         return result
     complete = h.complete  # a partial table settles the vertices it lacks
-    eps2 = eps.search_slack[1]
+    ratio2 = eps.search_ratios[1]
+    cut: float | int = _INF  # goal_cut of g2min[goal]
     edges = g.edges
     g2min: list[float | int] = [_INF] * g.vertex_count
     arena = result.arena
@@ -62,7 +68,7 @@ def boa_search(
 
     while heap:
         f1, f2, idx, u, g1, g2 = heapq.heappop(heap)
-        if g2 >= g2min[u] or f2 + eps2 * f2 >= g2min[goal]:
+        if g2 >= g2min[u] or f2 >= cut:
             continue
         n_expanded += 1
         if __debug__:
@@ -72,6 +78,7 @@ def boa_search(
             last_f2_at[u] = f2
         g2min[u] = g2
         if u == goal:
+            cut = goal_cut(g2, ratio2)
             result.solutions.append(idx)
             result.costs.append(CostVec(g1, g2))
             continue
@@ -83,7 +90,7 @@ def boa_search(
                 th1 = h1[target]
             ng2 = g2 + c2
             nf2 = ng2 + h2[target]
-            if ng2 >= g2min[target] or nf2 + eps2 * nf2 >= g2min[goal]:
+            if ng2 >= g2min[target] or nf2 >= cut:
                 continue
             ng1 = g1 + c1
             append((target, idx))

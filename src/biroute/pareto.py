@@ -3,12 +3,17 @@
 Costs are nonnegative integers, so all exact comparisons stay in integer
 arithmetic. Approximate comparisons follow the convention that a factor
 ``eps`` relaxes the right-hand side multiplicatively: ``x`` approximately
-dominates ``y`` componentwise when ``x <= (1 + eps) * y``, evaluated as
-``x <= y + eps * y``. A zero slack is read as the int 0 (``eps.eps1 or 0``)
-so that ``eps = 0`` stays exact in integers even above 2**53, where
-``y + 0.0 * y`` would round; a positive slack is applied in double
-precision. The engines read their slack the same way, through
-``ApproxFactor.search_slack``, which also caps it.
+dominates ``y`` componentwise when ``x <= (1 + eps) * y``. A float slack
+is a dyadic rational, so ``ApproxFactor`` also holds it as the exact
+integer ratio ``num / den`` (``float.as_integer_ratio()``; zero is
+``(0, 1)``), and ``approx_dominates`` tests ``x * den <= y * (den + num)``
+in integers: exact at every slack and every cost, above 2**53 included.
+
+The engines read their slack through ``ApproxFactor.search_slack``, which
+caps it, and ``search_ratios``, its exact ratios. Their goal-bound prune
+compares an int f2 with ``goal_cut`` of the goal's second cost, which
+changes only when a goal path is expanded. PP-A*'s merge tests still
+apply the capped slack in double precision, as ``y + eps * y``.
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ from typing import Iterable, NamedTuple
 
 from .graph import CostVec
 
-# The largest slack an engine searches at. A larger float slack makes
-# ``f + e * f`` overflow to inf at small costs (1e308 * 2 already does),
-# and an inf bound meets the goal-bound prune before any goal path is
-# found. Under the cap, costs up to about 2**1024 / 2**52, roughly
-# 10^292, keep every bound finite.
+# The largest slack an engine searches at. PP-A*'s merge tests compute
+# ``x + e * x`` in floats, which overflows to inf at small costs for a
+# larger slack (1e308 * 2 already does). Under the cap, costs up to about
+# 2**1024 / 2**52, roughly 10^292, keep every merge bound finite.
 SLACK_CAP = 2**52
 
 
@@ -49,11 +53,23 @@ class ApproxFactor:
     def search_slack(self) -> tuple[int | float, int | float]:
         """The (e1, e2) an engine applies, read once per search.
 
-        Each component is capped at ``SLACK_CAP`` and a zero slack is the
-        int 0, as the module docstring describes. An answer within the
-        capped slack is within the requested one too.
+        Each component is capped at ``SLACK_CAP``; an answer within the
+        capped slack is within the requested one too. A zero slack is the
+        int 0, so that a float test ``x <= y + e * y`` stays exact in
+        integers at zero slack, above 2**53 included.
         """
         return min(self.eps1, SLACK_CAP) or 0, min(self.eps2, SLACK_CAP) or 0
+
+    @cached_property
+    def ratios(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The requested slack as exact ``(num, den)`` pairs, one per criterion."""
+        return self.eps1.as_integer_ratio(), self.eps2.as_integer_ratio()
+
+    @cached_property
+    def search_ratios(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """``search_slack`` as exact ``(num, den)`` pairs, one per criterion."""
+        e1, e2 = self.search_slack
+        return e1.as_integer_ratio(), e2.as_integer_ratio()
 
 
 EXACT = ApproxFactor(0.0, 0.0)
@@ -61,8 +77,19 @@ EXACT = ApproxFactor(0.0, 0.0)
 
 def approx_dominates(p: CostVec, q: CostVec, eps: ApproxFactor) -> bool:
     """True iff p is within the (eps1, eps2) relaxation of dominating q."""
-    e1, e2 = eps.eps1 or 0, eps.eps2 or 0
-    return p[0] <= q[0] + e1 * q[0] and p[1] <= q[1] + e2 * q[1]
+    (n1, d1), (n2, d2) = eps.ratios
+    return p[0] * d1 <= q[0] * (d1 + n1) and p[1] * d2 <= q[1] * (d2 + n2)
+
+
+def goal_cut(bound: int, ratio: tuple[int, int]) -> int:
+    """The least int ``x`` with ``x * (1 + num/den) >= bound``.
+
+    ``ratio`` is ``(num, den)``. An engine prunes a path whose f2 reaches
+    the cut of the goal's second cost ``bound``: that goal path is within
+    the slack of it. Zero slack gives ``bound`` itself.
+    """
+    num, den = ratio
+    return -(-bound * den // (den + num))
 
 
 class PathPair(NamedTuple):

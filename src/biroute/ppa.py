@@ -16,6 +16,9 @@ mirrors the single-path engine with the bottom-right path standing in for
 the pair: a pair is dropped when f2 of its bottom-right path, relaxed by
 (1 + eps2), cannot beat the smallest second-cost expanded at the goal, or
 when that path's g2 is no better than the record at the pair's vertex.
+As in the single-path engine, the goal test is one int compare with
+``cut``, set by ``goal_cut`` from eps2's exact ratio at each goal
+expansion. The merge tests below still apply the slack in doubles.
 
 Inside the search loop a pair is one flat tuple record (layout below)
 that sits directly in the heap and in its vertex bucket; it is the only
@@ -52,9 +55,9 @@ insertion order exactly as before, so the first fit, every merge and
 every counter are the same with or without the bounds.
 
 Goal pairs need no scan: they pop in non-decreasing tl1, and a survivor
-of the goal-bound prune has a relaxed br2 below every stored br2, so it
-neither absorbs nor fits a stored pair. ``PathPair`` tuples are built
-once, for the result.
+of the goal-bound prune has ``br2 * (1 + eps2)`` below every stored br2,
+so it neither absorbs nor fits a stored pair. ``PathPair`` tuples are
+built once, for the result.
 
 Projection to returned paths: each stored solution pair contributes its
 bottom-right path. The bottom-right cost is within the slack of every
@@ -75,7 +78,7 @@ from heapq import heappop, heappush
 
 from .graph import BiGraph, _cost
 from .heuristics import UNREACHABLE, HeuristicTable, validate_query
-from .pareto import EXACT, ApproxFactor, PathPair, SearchResult, pareto_filter
+from .pareto import EXACT, ApproxFactor, PathPair, SearchResult, goal_cut, pareto_filter
 
 _INF = float("inf")
 _pair = partial(tuple.__new__, PathPair)
@@ -124,6 +127,8 @@ def ppa_search(
         return result
     complete = h.complete  # a partial table settles the vertices it lacks
     e1, e2 = eps.search_slack
+    ratio2 = eps.search_ratios[1]
+    cut: float | int = _INF  # goal_cut of g2min[goal]
     edges = g.edges
     arena = result.arena
     append = arena.append
@@ -149,7 +154,7 @@ def ppa_search(
         f1, f2, key, u, tl, br, tl1, tl2, br1, br2 = rec
         if buckets[u].pop(key, None) is None:
             continue
-        if br2 >= g2min[u] or f2 + e2 * f2 >= g2min[goal]:
+        if br2 >= g2min[u] or f2 >= cut:
             continue
         n_expanded += 1
         if __debug__:
@@ -159,6 +164,7 @@ def ppa_search(
             last_f2_at[u] = f2
         g2min[u] = br2
         if u == goal:
+            cut = goal_cut(br2, ratio2)
             solutions.append(rec)
             continue
         for target, (c1, c2) in edges[u]:
@@ -169,21 +175,20 @@ def ppa_search(
                 th1 = h1[target]
             nbr2 = br2 + c2
             nf2 = nbr2 + h2[target]
-            if nbr2 >= g2min[target] or nf2 + e2 * nf2 >= g2min[goal]:
+            if nbr2 >= g2min[target] or nf2 >= cut:
                 continue
             ntl1 = tl1 + c1
-            ntl2 = tl2 + c2
             ntl = len(arena)
             append((target, tl))
-            if tl == br:
-                nbr, nbr1 = ntl, ntl1
+            if tl == br:  # one path: both corners are the child's
+                nbr, nbr1, ntl2 = ntl, ntl1, nbr2
             else:
-                nbr, nbr1 = ntl + 1, br1 + c1
+                nbr, nbr1, ntl2 = ntl + 1, br1 + c1, tl2 + c2
                 append((target, br))
-            if __debug__:
-                assert nbr1 <= ntl1 + e1 * ntl1 and ntl2 <= nbr2 + e2 * nbr2, (
-                    "attempted to store an out-of-slack pair"
-                )
+                if __debug__:
+                    assert nbr1 <= ntl1 + e1 * ntl1 and ntl2 <= nbr2 + e2 * nbr2, (
+                        "attempted to store an out-of-slack pair"
+                    )
             nf1 = ntl1 + th1
             slots = buckets[target]
             if not slots:

@@ -9,15 +9,22 @@ Also the placement spec of the path-pair search: ``apex`` and
 ``_first_fit`` and ``_place`` state, one call per child, what the
 engine's child loop does inline, and ``reference_ppa_search`` is the loop
 built on them.
+
+Also ``reference_boa_search``, the single-path loop, and
+``reference_queries``, the instances both engines are held to their
+reference loops on. Both reference loops test the goal bound in floats,
+``f2 + e2 * f2 >= g2min[goal]``, where the engines compare f2 with an
+integer cut.
 """
 
 import heapq
+import random
 from collections import defaultdict
 from heapq import heappop, heappush
 
 import pytest
 
-from biroute import BiGraph, CostVec, bigraph_from_arcs, write_gr_pair
+from biroute import BiGraph, CostVec, bigraph_from_arcs, random_instance, write_gr_pair
 from biroute.heuristics import UNREACHABLE, validate_query
 from biroute.pareto import EXACT, ApproxFactor, PathPair, SearchResult, pareto_filter
 
@@ -74,6 +81,82 @@ def anticorrelated_grid(side, rng):
                     c2 = max(1, 110 - c1 + rng.randint(-10, 10))
                     arcs.append((r * side + c, rr * side + cc, c1, c2))
     return bigraph_from_arcs(side * side, arcs)
+
+
+# The slacks both engines are held to their reference loops at.
+REFERENCE_SLACKS = [(0, 0), (0.01, 0.01), (0.5, 0.5), (1, 1), (0, 0.5), (1, 0)]
+
+
+def reference_queries():
+    """(graph, start, goal) triples for the engines' differential tests.
+
+    A 10x10 and a 20x20 grid, random instances at verify's default costs
+    and at costs up to 10^6, and random instances shifted above 2^53.
+    """
+    queries = [(anticorrelated_grid(10, random.Random(2021)), 0, 99)]
+    queries += [random_instance(seed) for seed in range(300)]
+    queries += [random_instance(seed, cost_max=10**6) for seed in range(100)]
+    b = 2**53
+    for seed in range(50):
+        g, s, t = random_instance(seed, n_max=50, out_degree_max=4, cost_max=10)
+        arcs = [
+            (u, v, c1 + b, c2 + b)
+            for u in range(g.vertex_count)
+            for v, (c1, c2) in g.edges[u]
+        ]
+        queries.append((bigraph_from_arcs(g.vertex_count, arcs), s, t))
+    queries.append((anticorrelated_grid(20, random.Random(2021)), 0, 399))
+    return queries
+
+
+def reference_boa_search(g, h, start, goal, eps=EXACT):
+    """``boa_search`` with the goal bound tested in floats, ``f2 + e2*f2``.
+
+    Same pops, prunes, arena writes and counters as the engine; ``h`` must
+    be a complete table. The engine, which compares f2 with an integer cut,
+    must match it in every counter, arena record, solution and cost.
+    """
+    validate_query(g, h, start, goal)
+    result = SearchResult()
+    h1, h2 = h.h1, h.h2
+    if h1[start] == UNREACHABLE:
+        return result
+    eps2 = eps.search_slack[1]
+    edges = g.edges
+    g2min = [float("inf")] * g.vertex_count
+    arena = result.arena
+    append = arena.append
+
+    append((start, None))
+    heap = [(h1[start], h2[start], 0, start, 0, 0)]
+    seq = 1
+    n_expanded = 0
+    while heap:
+        f1, f2, idx, u, g1, g2 = heappop(heap)
+        if g2 >= g2min[u] or f2 + eps2 * f2 >= g2min[goal]:
+            continue
+        n_expanded += 1
+        g2min[u] = g2
+        if u == goal:
+            result.solutions.append(idx)
+            result.costs.append(CostVec(g1, g2))
+            continue
+        for target, (c1, c2) in edges[u]:
+            th1 = h1[target]
+            if th1 == UNREACHABLE:
+                continue
+            ng2 = g2 + c2
+            nf2 = ng2 + h2[target]
+            if ng2 >= g2min[target] or nf2 + eps2 * nf2 >= g2min[goal]:
+                continue
+            ng1 = g1 + c1
+            append((target, idx))
+            heappush(heap, (ng1 + th1, nf2, seq, target, ng1, ng2))
+            seq += 1
+
+    result.stats.n_expanded = n_expanded
+    result.stats.n_generated = seq
+    return result
 
 
 def pair_record(seq, tl_cost, br_cost, h=(0, 0)):

@@ -15,6 +15,7 @@ from biroute import (
     exact_frontier,
     random_instance,
 )
+from conftest import REFERENCE_SLACKS, reference_boa_search, reference_queries
 
 
 class TestHandGraph:
@@ -131,3 +132,21 @@ class TestRandomInstances:
         a = boa_search(g1, h, 0, 3)
         b = boa_search(g1, h, 0, 3, EXACT)
         assert a.solution_costs() == b.solution_costs()
+
+
+class TestReferenceLoop:
+    """The engine's integer goal cut against the float goal test."""
+
+    @staticmethod
+    def outputs(res):
+        stats = res.stats
+        counters = (stats.n_expanded, stats.n_generated, stats.n_merges)
+        return counters, res.arena, res.solutions, res.costs
+
+    @pytest.mark.parametrize("eps", REFERENCE_SLACKS, ids=lambda e: f"{e[0]}-{e[1]}")
+    def test_matches_reference_loop(self, eps):
+        eps = ApproxFactor(*eps)
+        for g, s, t in reference_queries():
+            h = compute_heuristics(g, t)
+            got = boa_search(g, h, s, t, eps)
+            assert self.outputs(got) == self.outputs(reference_boa_search(g, h, s, t, eps))

@@ -1,6 +1,7 @@
 """Dominance relations, path pairs, and the frontier filter."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,16 @@ from biroute import (
     ppa_search,
     random_instance,
 )
+from biroute.pareto import goal_cut
 from conftest import _first_fit, _place, apex, is_bounded, pair_record, record_corners
 
 costs = st.tuples(st.integers(0, 40), st.integers(0, 40)).map(lambda t: CostVec(*t))
 slacks = st.sampled_from([0.0, 0.01, 0.1, 0.25, 0.5, 1.0, 3.0])
+# Tiny, inexact in binary (0.01, 0.3), exact (1) and huge slacks.
+exact_slacks = st.sampled_from([0.0, 1e-20, 0.01, 0.3, 1.0, 1e308])
+wide_costs = st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)).map(
+    lambda t: CostVec(*t)
+)
 
 
 def weakly_dominates(p, q):
@@ -60,6 +67,27 @@ class TestDominance:
         assert not approx_dominates(CostVec(b + 4, 0), CostVec(b + 3, 0), EXACT)
         assert approx_dominates(CostVec(b + 3, b + 3), CostVec(b + 3, b + 3), EXACT)
 
+    def test_tiny_slack_stays_exact_above_2_53(self):
+        # float(2^53 + 1) is 2^53, so p <= p + 1e-20 * p fails in floats.
+        p = CostVec(2**53 + 1, 2**53 + 1)
+        assert approx_dominates(p, p, ApproxFactor.uniform(1e-20))
+        assert not approx_dominates(
+            CostVec(p.c1 + 1, p.c2), p, ApproxFactor.uniform(1e-20)
+        )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(wide_costs, wide_costs, exact_slacks, exact_slacks)
+    def test_matches_exact_rationals(self, p, q, e1, e2):
+        eps = ApproxFactor(e1, e2)
+        f1, f2 = 1 + Fraction(e1), 1 + Fraction(e2)
+        want = p[0] <= q[0] * f1 and p[1] <= q[1] * f2
+        assert approx_dominates(p, q, eps) == want
+        # The largest cost q's relaxation covers, and one past it per axis.
+        edge = CostVec(math.floor(q[0] * f1), math.floor(q[1] * f2))
+        assert approx_dominates(edge, q, eps)
+        assert not approx_dominates(CostVec(edge.c1 + 1, edge.c2), q, eps)
+        assert not approx_dominates(CostVec(edge.c1, edge.c2 + 1), q, eps)
+
     @settings(max_examples=200, deadline=None)
     @given(costs, costs)
     def test_zero_factor_matches_weak_dominance(self, p, q):
@@ -78,6 +106,26 @@ class TestDominance:
             ApproxFactor(0, bad)
         with pytest.raises(ValueError, match="finite"):
             ApproxFactor.uniform(bad)
+
+
+class TestGoalCut:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.integers(0, 2**70), st.integers(0, 2**70), exact_slacks)
+    def test_least_int_reaching_the_bound(self, bound, other, eps):
+        num, den = ratio = ApproxFactor(0, eps).ratios[1]
+        cut = goal_cut(bound, ratio)
+        assert cut * (den + num) >= bound * den
+        assert cut == 0 or (cut - 1) * (den + num) < bound * den
+        lo, hi = sorted((bound, other))
+        assert goal_cut(lo, ratio) <= goal_cut(hi, ratio)
+        if eps == 0:
+            assert cut == bound
+
+    def test_ratios_are_exact(self):
+        assert ApproxFactor(0, 0.0).search_ratios == ((0, 1), (0, 1))
+        assert Fraction(*ApproxFactor(0.3, 1).ratios[0]) == Fraction(0.3)
+        assert ApproxFactor(1e308, 0).ratios[0] == (int(1e308), 1)
+        assert ApproxFactor(1e308, 0).search_ratios[0] == (2**52, 1)
 
 
 class TestPathPair:

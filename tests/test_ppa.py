@@ -21,6 +21,7 @@ from biroute import (
 )
 from biroute.oracle import FrontierSet
 from conftest import (
+    REFERENCE_SLACKS,
     _first_fit,
     _place,
     anticorrelated_grid,
@@ -28,6 +29,7 @@ from conftest import (
     pair_record,
     record_corners,
     reference_ppa_search,
+    reference_queries,
 )
 
 
@@ -220,30 +222,14 @@ class TestReferenceLoop:
         counters = (stats.n_expanded, stats.n_generated, stats.n_merges)
         return counters, res.arena, res.pairs, res.solutions, res.costs
 
-    @pytest.mark.parametrize(
-        "eps",
-        [(0, 0), (0.01, 0.01), (0.5, 0.5), (1, 1), (0, 0.5), (1, 0)],
-        ids=lambda e: f"{e[0]}-{e[1]}",
-    )
+    @pytest.mark.parametrize("eps", REFERENCE_SLACKS, ids=lambda e: f"{e[0]}-{e[1]}")
     def test_matches_reference_loop(self, eps):
+        # Wide costs, costs above 2^53 and a large grid are among the
+        # queries: the engine skips a bucket's scan on bounds the reference
+        # loop does not keep, and tests its goal bound against an int cut.
         eps = ApproxFactor(*eps)
-        grid = anticorrelated_grid(10, random.Random(2021))
-        queries = [(grid, 0, 99)] + [random_instance(seed) for seed in range(300)]
-        # Wide costs, costs above 2^53 and a large grid: the engine skips a
-        # bucket's scan on bounds the reference loop does not keep.
-        queries += [random_instance(seed, cost_max=10**6) for seed in range(100)]
-        b = 2**53
-        for seed in range(50):
-            g, s, t = random_instance(seed, n_max=50, out_degree_max=4, cost_max=10)
-            arcs = [
-                (u, v, c1 + b, c2 + b)
-                for u in range(g.vertex_count)
-                for v, (c1, c2) in g.edges[u]
-            ]
-            queries.append((bigraph_from_arcs(g.vertex_count, arcs), s, t))
-        queries.append((anticorrelated_grid(20, random.Random(2021)), 0, 399))
         n_merges = 0
-        for g, s, t in queries:
+        for g, s, t in reference_queries():
             h = h_for(g, t)
             got = ppa_search(g, h, s, t, eps)
             assert self.outputs(got) == self.outputs(reference_ppa_search(g, h, s, t, eps))
@@ -270,6 +256,16 @@ class TestEdgeCases:
     def test_endpoint_validation(self, g1):
         with pytest.raises(ValueError):
             ppa_search(g1, h_for(g1, 3), 0, 2)
+
+    def test_one_path_child_above_2_53_at_tiny_slack(self):
+        # float(2^53 + 1) is 2^53, so a float check x <= x + e*x fails for
+        # x = 2^53 + 1 at slack 1e-20. A one-path child has no spread to
+        # check and must not trip the out-of-slack assertion.
+        b = 2**53
+        g = bigraph_from_arcs(3, [(0, 1, b + 1, 1), (1, 2, 2, 1)])
+        res = ppa_search(g, h_for(g, 2), 0, 2, ApproxFactor.uniform(1e-20))
+        assert res.solution_costs() == [CostVec(b + 3, 2)]
+        assert res.solution_vertices(0) == [0, 1, 2]
 
 
 class TestProjectionAdversaries:
