@@ -220,7 +220,7 @@ def sample_queries(
             h = load_or_compute_heuristics(g, goal, h_cache_dir)
             tables[goal] = h, (time.perf_counter() - t0) * 1000.0
         h, heuristic_ms = tables[goal]
-        if h.reachable(start):
+        if h.settle(start):
             queries.append((start, goal, h, heuristic_ms))
     return queries
 

@@ -14,9 +14,10 @@ f2 * (1 + eps2) reaches the goal's record, so provably-covered paths are
 dropped early and the returned set shrinks toward a single solution as
 the slack grows. The record changes only when a goal path is expanded;
 that expansion sets ``cut = goal_cut(g2, ratio)``, the least int f2 that
-the relaxed test drops, exactly in integers from eps2's ``(num, den)``.
-Every other goal-bound test is then one int compare, ``f2 >= cut``, and
-the engine does no float slack arithmetic.
+the relaxed test drops, exactly in integers from eps2's ``(num, den)`` in
+``ApproxFactor.ratios``, at any finite slack. Every other goal-bound test
+is then one int compare, ``f2 >= cut``, and the engine does no float
+slack arithmetic.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def boa_search(
     if h1[start] == UNREACHABLE and not h.settle(start):
         return result
     complete = h.complete  # a partial table settles the vertices it lacks
-    ratio2 = eps.search_ratios[1]
+    ratio2 = eps.ratios[1]
     cut: float | int = _INF  # goal_cut of g2min[goal]
     edges = g.edges
     g2min: list[float | int] = [_INF] * g.vertex_count

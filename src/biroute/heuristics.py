@@ -141,8 +141,6 @@ class HeuristicTable:
             self._grow(v)
         return self.h1[v] != UNREACHABLE
 
-    reachable = settle
-
     def settle_all(self) -> None:
         """Grow the table until it is complete."""
         if not self.complete:

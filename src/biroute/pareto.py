@@ -6,14 +6,12 @@ arithmetic. Approximate comparisons follow the convention that a factor
 dominates ``y`` componentwise when ``x <= (1 + eps) * y``. A float slack
 is a dyadic rational, so ``ApproxFactor`` also holds it as the exact
 integer ratio ``num / den`` (``float.as_integer_ratio()``; zero is
-``(0, 1)``), and ``approx_dominates`` tests ``x * den <= y * (den + num)``
-in integers: exact at every slack and every cost, above 2**53 included.
-
-The engines read their slack through ``ApproxFactor.search_slack``, which
-caps it, and ``search_ratios``, its exact ratios. Their goal-bound prune
-compares an int f2 with ``goal_cut`` of the goal's second cost, which
-changes only when a goal path is expanded. PP-A*'s merge tests still
-apply the capped slack in double precision, as ``y + eps * y``.
+``(0, 1)``), and every slack test in the package runs in integers on
+those ratios: ``approx_dominates`` tests ``x * den <= y * (den + num)``,
+the engines' goal-bound prune compares an int f2 with ``goal_cut`` of the
+goal's second cost, and PP-A*'s merge tests compare costs with the same
+products. Each is exact at every slack and every cost, above 2**53
+included.
 """
 
 from __future__ import annotations
@@ -24,12 +22,6 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .graph import CostVec
-
-# The largest slack an engine searches at. PP-A*'s merge tests compute
-# ``x + e * x`` in floats, which overflows to inf at small costs for a
-# larger slack (1e308 * 2 already does). Under the cap, costs up to about
-# 2**1024 / 2**52, roughly 10^292, keep every merge bound finite.
-SLACK_CAP = 2**52
 
 
 @dataclass(frozen=True)
@@ -50,26 +42,9 @@ class ApproxFactor:
         return cls(eps, eps)
 
     @cached_property
-    def search_slack(self) -> tuple[int | float, int | float]:
-        """The (e1, e2) an engine applies, read once per search.
-
-        Each component is capped at ``SLACK_CAP``; an answer within the
-        capped slack is within the requested one too. A zero slack is the
-        int 0, so that a float test ``x <= y + e * y`` stays exact in
-        integers at zero slack, above 2**53 included.
-        """
-        return min(self.eps1, SLACK_CAP) or 0, min(self.eps2, SLACK_CAP) or 0
-
-    @cached_property
     def ratios(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The requested slack as exact ``(num, den)`` pairs, one per criterion."""
+        """The slack as exact ``(num, den)`` pairs, one per criterion."""
         return self.eps1.as_integer_ratio(), self.eps2.as_integer_ratio()
-
-    @cached_property
-    def search_ratios(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """``search_slack`` as exact ``(num, den)`` pairs, one per criterion."""
-        e1, e2 = self.search_slack
-        return e1.as_integer_ratio(), e2.as_integer_ratio()
 
 
 EXACT = ApproxFactor(0.0, 0.0)

@@ -18,7 +18,10 @@ the pair: a pair is dropped when f2 of its bottom-right path, relaxed by
 when that path's g2 is no better than the record at the pair's vertex.
 As in the single-path engine, the goal test is one int compare with
 ``cut``, set by ``goal_cut`` from eps2's exact ratio at each goal
-expansion. The merge tests below still apply the slack in doubles.
+expansion. The merge tests below are exact in integers too: with
+``(n, d)`` a criterion's ratio from ``ApproxFactor.ratios`` and
+``m = d + n``, ``x <= (1 + eps) * y`` is ``x * d <= y * m``, and for an int
+``x`` it is ``x <= y * m // d``.
 
 Inside the search loop a pair is one flat tuple record (layout below)
 that sits directly in the heap and in its vertex bucket; it is the only
@@ -38,21 +41,20 @@ most, the tl1 and br2 of every record in v's bucket. Both are set when a
 record enters an empty bucket and widened by every later insert, with the
 corners stored after any merge; a pop or merge never narrows them, which
 keeps them bounds of a superset of the residents. A child finds no fit
-when, with ``hi``/``lo`` its bucket's bounds and ``cap2 = nbr2 + e2*nbr2``,
+when, with ``hi``/``lo`` its bucket's bounds and ``cap2 = nbr2 * m2 // d2``,
 
-    hi <= ntl1 and lo > nbr2 and (lo > cap2 or nbr1 > hi + e1*hi).
+    hi <= ntl1 and lo > nbr2 and (lo > cap2 or nbr1 * d1 > hi * m1).
 
 Soundness, by the fit cases listed at the record layout: every resident
 has ``r.tl1 <= hi <= ntl1``, so the merge keeps r's tl and only two cases
 remain. "r both" needs ``r.br2 <= nbr2``, ruled out by
 ``r.br2 >= lo > nbr2``. "r's tl, the child's br" needs both
-``r.tl2 <= cap2`` and ``nbr1 <= r.tl1 + e1*r.tl1``. The first fails when
+``r.tl2 <= cap2`` and ``nbr1 * d1 <= r.tl1 * m1``. The first fails when
 ``lo > cap2``, as every stored record has ``r.tl2 >= r.br2 >= lo``. The
-second fails when ``nbr1 > hi + e1*hi``, as ``x + e1*x`` is monotone in
-x in floating point (and exact at zero slack), so
-``hi + e1*hi >= r.tl1 + e1*r.tl1``. A child that may fit scans in
-insertion order exactly as before, so the first fit, every merge and
-every counter are the same with or without the bounds.
+second fails when ``nbr1 * d1 > hi * m1``, as ``hi * m1 >= r.tl1 * m1``.
+A child that may fit scans in insertion order exactly as before, so the
+first fit, every merge and every counter are the same with or without
+the bounds.
 
 Goal pairs need no scan: they pop in non-decreasing tl1, and a survivor
 of the goal-bound prune has ``br2 * (1 + eps2)`` below every stored br2,
@@ -97,10 +99,10 @@ _pair = partial(tuple.__new__, PathPair)
 #
 # - r both: the merge is r, within the slack since r is stored;
 # - the newcomer both: likewise;
-# - r's tl, the newcomer's br: br1 <= r.tl1 + e1*r.tl1 and
-#   r.tl2 <= br2 + e2*br2;
-# - the newcomer's tl, r's br: r.br1 <= tl1 + e1*tl1 and
-#   tl2 <= r.br2 + e2*r.br2.
+# - r's tl, the newcomer's br: br1 * d1 <= r.tl1 * m1 and
+#   r.tl2 <= br2 * m2 // d2;
+# - the newcomer's tl, r's br: r.br1 <= tl1 * m1 // d1 and
+#   tl2 * d2 <= r.br2 * m2.
 #
 # The newcomer's sides of the last two tests are computed once per scan,
 # so most residents are rejected by one or two int comparisons.
@@ -126,8 +128,9 @@ def ppa_search(
     if h1[start] == UNREACHABLE and not h.settle(start):
         return result
     complete = h.complete  # a partial table settles the vertices it lacks
-    e1, e2 = eps.search_slack
-    ratio2 = eps.search_ratios[1]
+    (n1, d1), ratio2 = eps.ratios
+    n2, d2 = ratio2
+    m1, m2 = d1 + n1, d2 + n2
     cut: float | int = _INF  # goal_cut of g2min[goal]
     edges = g.edges
     arena = result.arena
@@ -186,7 +189,7 @@ def ppa_search(
                 nbr, nbr1, ntl2 = ntl + 1, br1 + c1, tl2 + c2
                 append((target, br))
                 if __debug__:
-                    assert nbr1 <= ntl1 + e1 * ntl1 and ntl2 <= nbr2 + e2 * nbr2, (
+                    assert nbr1 * d1 <= ntl1 * m1 and ntl2 * d2 <= nbr2 * m2, (
                         "attempted to store an out-of-slack pair"
                     )
             nf1 = ntl1 + th1
@@ -199,18 +202,20 @@ def ppa_search(
             else:
                 hi = tl1_hi[target]
                 lo = br2_lo[target]
-                cap2 = nbr2 + e2 * nbr2
-                if hi <= ntl1 and lo > nbr2 and (lo > cap2 or nbr1 > hi + e1 * hi):
+                cap2 = nbr2 * m2 // d2
+                if hi <= ntl1 and lo > nbr2 and (lo > cap2 or nbr1 * d1 > hi * m1):
                     # No resident fits (module docstring); the child widens both bounds.
                     tl1_hi[target] = ntl1
                     br2_lo[target] = nbr2
                 else:
-                    cap1 = ntl1 + e1 * ntl1
+                    x1 = nbr1 * d1
+                    cap1 = ntl1 * m1 // d1
+                    x2 = ntl2 * d2
                     for r in slots.values():
                         if r[6] <= ntl1:
-                            if r[9] <= nbr2 or (r[7] <= cap2 and nbr1 <= r[6] + e1 * r[6]):
+                            if r[9] <= nbr2 or (r[7] <= cap2 and x1 <= r[6] * m1):
                                 break
-                        elif r[9] > nbr2 or (r[8] <= cap1 and ntl2 <= r[9] + e2 * r[9]):
+                        elif r[9] > nbr2 or (r[8] <= cap1 and x2 <= r[9] * m2):
                             break
                     else:
                         r = None

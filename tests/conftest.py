@@ -12,9 +12,9 @@ built on them.
 
 Also ``reference_boa_search``, the single-path loop, and
 ``reference_queries``, the instances both engines are held to their
-reference loops on. Both reference loops test the goal bound in floats,
-``f2 + e2 * f2 >= g2min[goal]``, where the engines compare f2 with an
-integer cut.
+reference loops on. Both reference loops test the goal bound as
+``f2 * (den + num) >= g2min[goal] * den`` on eps2's exact ratio, where
+the engines compare f2 with ``goal_cut``.
 """
 
 import heapq
@@ -26,7 +26,14 @@ import pytest
 
 from biroute import BiGraph, CostVec, bigraph_from_arcs, random_instance, write_gr_pair
 from biroute.heuristics import UNREACHABLE, validate_query
-from biroute.pareto import EXACT, ApproxFactor, PathPair, SearchResult, pareto_filter
+from biroute.pareto import (
+    EXACT,
+    ApproxFactor,
+    PathPair,
+    SearchResult,
+    approx_dominates,
+    pareto_filter,
+)
 
 # Four-vertex diamond with a direct long arc.  Vertices: 0=s, 1=a, 2=b, 3=g.
 # Arcs (u, v, c1, c2):
@@ -83,8 +90,9 @@ def anticorrelated_grid(side, rng):
     return bigraph_from_arcs(side * side, arcs)
 
 
-# The slacks both engines are held to their reference loops at.
-REFERENCE_SLACKS = [(0, 0), (0.01, 0.01), (0.5, 0.5), (1, 1), (0, 0.5), (1, 0)]
+# The slacks both engines are held to their reference loops at. The double
+# 0.3 lies below 3/10, the others' doubles lie above or on their decimals.
+REFERENCE_SLACKS = [(0, 0), (0.01, 0.01), (0.3, 0.3), (0.5, 0.5), (1, 1), (0, 0.5), (1, 0)]
 
 
 def reference_queries():
@@ -110,7 +118,7 @@ def reference_queries():
 
 
 def reference_boa_search(g, h, start, goal, eps=EXACT):
-    """``boa_search`` with the goal bound tested in floats, ``f2 + e2*f2``.
+    """``boa_search`` with the goal bound tested on eps2's ratio at every test.
 
     Same pops, prunes, arena writes and counters as the engine; ``h`` must
     be a complete table. The engine, which compares f2 with an integer cut,
@@ -121,7 +129,8 @@ def reference_boa_search(g, h, start, goal, eps=EXACT):
     h1, h2 = h.h1, h.h2
     if h1[start] == UNREACHABLE:
         return result
-    eps2 = eps.search_slack[1]
+    num, den = eps.ratios[1]
+    m = den + num
     edges = g.edges
     g2min = [float("inf")] * g.vertex_count
     arena = result.arena
@@ -133,7 +142,7 @@ def reference_boa_search(g, h, start, goal, eps=EXACT):
     n_expanded = 0
     while heap:
         f1, f2, idx, u, g1, g2 = heappop(heap)
-        if g2 >= g2min[u] or f2 + eps2 * f2 >= g2min[goal]:
+        if g2 >= g2min[u] or f2 * m >= g2min[goal] * den:
             continue
         n_expanded += 1
         g2min[u] = g2
@@ -147,7 +156,7 @@ def reference_boa_search(g, h, start, goal, eps=EXACT):
                 continue
             ng2 = g2 + c2
             nf2 = ng2 + h2[target]
-            if ng2 >= g2min[target] or nf2 + eps2 * nf2 >= g2min[goal]:
+            if ng2 >= g2min[target] or nf2 * m >= g2min[goal] * den:
                 continue
             ng1 = g1 + c1
             append((target, idx))
@@ -185,47 +194,30 @@ def is_bounded(pp: PathPair, eps: ApproxFactor) -> bool:
     """True iff the pair's spread stays within the per-criterion slack.
 
     Componentwise this requires c1(br) <= (1 + eps1) * c1(tl) and
-    c2(tl) <= (1 + eps2) * c2(br); a zero reference component therefore
-    admits only a zero counterpart.
+    c2(tl) <= (1 + eps2) * c2(br), tested exactly by ``approx_dominates``:
+    the pair's worst corner is within the slack of its apex. A zero
+    reference component therefore admits only a zero counterpart.
     """
-    c1_tl = pp.tl_cost.c1
-    c2_br = pp.br_cost.c2
-    return (
-        pp.br_cost.c1 <= c1_tl + (eps.eps1 or 0) * c1_tl
-        and pp.tl_cost.c2 <= c2_br + (eps.eps2 or 0) * c2_br
-    )
+    return approx_dominates(CostVec(pp.br_cost.c1, pp.tl_cost.c2), apex(pp), eps)
 
 
-def _first_fit(slots, tl1, tl2, br1, br2, e1, e2):
+def _first_fit(slots, tl1, tl2, br1, br2, eps):
     """The first record in ``slots`` whose merge with corners (tl, br) is bounded.
 
     The merge keeps the smaller-c1 top-left and the smaller-c2
-    bottom-right, the resident's on ties, and counts as bounded exactly
-    when ``is_bounded`` would say so of the merged pair. Returns None when
-    no resident fits. By which side supplies each merged corner:
-
-    - the resident both: the merge is the resident, bounded when stored;
-    - the newcomer both: the merge is the newcomer, bounded likewise;
-    - resident tl, newcomer br: br1 <= r.tl1 + e1*r.tl1 and
-      r.tl2 <= br2 + e2*br2;
-    - newcomer tl, resident br: r.br1 <= tl1 + e1*tl1 and
-      tl2 <= r.br2 + e2*r.br2.
-
-    The newcomer's sides of the last two tests are computed once, so most
-    residents are rejected by one or two int comparisons.
+    bottom-right, the resident's on ties, and fits when ``is_bounded``
+    holds of the merged pair. Returns None when no resident fits. The
+    merged pair has no arena indices; ``is_bounded`` reads only costs.
     """
-    cap1 = tl1 + e1 * tl1
-    cap2 = br2 + e2 * br2
     for r in slots:
-        if r[6] <= tl1:
-            if r[9] <= br2 or (r[7] <= cap2 and br1 <= r[6] + e1 * r[6]):
-                return r
-        elif r[9] > br2 or (r[8] <= cap1 and tl2 <= r[9] + e2 * r[9]):
+        tl = CostVec(r[6], r[7]) if r[6] <= tl1 else CostVec(tl1, tl2)
+        br = CostVec(r[8], r[9]) if r[9] <= br2 else CostVec(br1, br2)
+        if is_bounded(PathPair(r[3], None, None, tl, br), eps):
             return r
     return None
 
 
-def _place(slots: dict, rec: list, e1: float, e2: float) -> bool:
+def _place(slots: dict, rec: list, eps: ApproxFactor) -> bool:
     """Append ``rec`` to ``slots``, first absorbing the first resident it fits.
 
     The absorbed resident leaves ``slots`` and is marked dead; ``rec``
@@ -235,10 +227,10 @@ def _place(slots: dict, rec: list, e1: float, e2: float) -> bool:
     """
     _, _, _, _, _, _, tl1, tl2, br1, br2, _ = rec
     if __debug__:
-        assert br1 <= tl1 + e1 * tl1 and tl2 <= br2 + e2 * br2, (
+        assert is_bounded(PathPair(rec[3], rec[4], rec[5], *record_corners(rec)), eps), (
             "attempted to store an out-of-slack pair"
         )
-    r = _first_fit(slots.values(), tl1, tl2, br1, br2, e1, e2) if slots else None
+    r = _first_fit(slots.values(), tl1, tl2, br1, br2, eps) if slots else None
     if r is not None:
         r[10] = False
         del slots[r[2]]
@@ -264,7 +256,8 @@ def reference_ppa_search(g, h, start, goal, eps=EXACT):
     h1, h2 = h.h1, h.h2
     if h1[start] == UNREACHABLE:
         return result
-    e1, e2 = eps.search_slack
+    num, den = eps.ratios[1]
+    m = den + num
     edges = g.edges
     arena = result.arena
     append = arena.append
@@ -284,7 +277,7 @@ def reference_ppa_search(g, h, start, goal, eps=EXACT):
             continue
         f1, f2, key, u, tl, br, tl1, tl2, br1, br2, _ = rec
         del buckets[u][key]
-        if br2 >= g2min[u] or f2 + e2 * f2 >= g2min[goal]:
+        if br2 >= g2min[u] or f2 * m >= g2min[goal] * den:
             continue
         n_expanded += 1
         g2min[u] = br2
@@ -297,7 +290,7 @@ def reference_ppa_search(g, h, start, goal, eps=EXACT):
                 continue
             nbr2 = br2 + c2
             nf2 = nbr2 + h2[target]
-            if nbr2 >= g2min[target] or nf2 + e2 * nf2 >= g2min[goal]:
+            if nbr2 >= g2min[target] or nf2 * m >= g2min[goal] * den:
                 continue
             ntl1 = tl1 + c1
             ntl2 = tl2 + c2
@@ -310,7 +303,7 @@ def reference_ppa_search(g, h, start, goal, eps=EXACT):
                 append((target, br))
             rec = [ntl1 + th1, nf2, seq, target, ntl, nbr, ntl1, ntl2, nbr1, nbr2, True]
             seq += 1
-            n_merges += _place(buckets[target], rec, e1, e2)
+            n_merges += _place(buckets[target], rec, eps)
             heappush(heap, rec)
 
     result.stats.n_expanded = n_expanded

@@ -309,6 +309,17 @@ def test_huge_slack_keeps_reachable_answers():
     )
 
 
+def test_ppa_covers_at_a_slack_below_its_decimal():
+    # The double 0.3 lies below 3/10. At seed 896 a merge test computed in
+    # doubles stored a pair out of that slack, leaving (20, 32) uncovered.
+    summary = verify_run(1, 896, (ApproxFactor.uniform(0.3),), cost_max=20)
+    check(
+        "at slack 0.3 and costs up to 20 both engines cover the frontier of seed 896",
+        summary.ok,
+        f"failures {summary.failures[:5]}",
+    )
+
+
 def _run_all() -> int:
     steps = [
         test_exact_engines_agree_on_seeded_instances,
@@ -321,6 +332,7 @@ def _run_all() -> int:
         test_zero_slack_stays_exact_above_2_53,
         test_exact_engines_agree_with_costs_above_2_53,
         test_huge_slack_keeps_reachable_answers,
+        test_ppa_covers_at_a_slack_below_its_decimal,
     ]
     passed = failed = skipped = 0
     for step in steps:

@@ -119,8 +119,8 @@ class TestHandValues:
         g = bigraph_from_arcs(3, [(0, 1, 1, 1)])
         h = compute_heuristics(g, goal=1)
         assert h.h1[2] == UNREACHABLE
-        assert not h.reachable(2)
-        assert h.reachable(0)
+        assert not h.settle(2)
+        assert h.settle(0)
 
     def test_goal_out_of_range(self, g1):
         with pytest.raises(ValueError):

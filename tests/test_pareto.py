@@ -122,10 +122,9 @@ class TestGoalCut:
             assert cut == bound
 
     def test_ratios_are_exact(self):
-        assert ApproxFactor(0, 0.0).search_ratios == ((0, 1), (0, 1))
+        assert ApproxFactor(0, 0.0).ratios == ((0, 1), (0, 1))
         assert Fraction(*ApproxFactor(0.3, 1).ratios[0]) == Fraction(0.3)
         assert ApproxFactor(1e308, 0).ratios[0] == (int(1e308), 1)
-        assert ApproxFactor(1e308, 0).search_ratios[0] == (2**52, 1)
 
 
 class TestPathPair:
@@ -193,8 +192,8 @@ class TestPathPair:
         a = pair_record(1, (4, 9), (6, 5))
         b = pair_record(2, (5, 8), (7, 4))
         a_tl, b_br = a[4], b[5]
-        assert not _place(slots, a, 1.0, 2.0)
-        assert _place(slots, b, 1.0, 2.0)
+        assert not _place(slots, a, ApproxFactor(1.0, 2.0))
+        assert _place(slots, b, ApproxFactor(1.0, 2.0))
         assert list(slots.values()) == [b] and not a[10]
         assert (b[4], b[5]) == (a_tl, b_br)
         assert record_corners(b) == (CostVec(4, 9), CostVec(7, 4))
@@ -205,8 +204,8 @@ class TestPathPair:
         slots = {}
         a = pair_record(1, (5, 5), (5, 5))
         b = pair_record(2, (5, 5), (5, 5))
-        _place(slots, a, 0.0, 0.0)
-        assert _place(slots, b, 0.0, 0.0)
+        _place(slots, a, EXACT)
+        assert _place(slots, b, EXACT)
         # The resident's paths win ties; the newcomer keeps only its seq.
         assert b[4] == b[5] == a[4]
         assert list(slots) == [2]
@@ -231,9 +230,9 @@ class TestPathPair:
         # At zero slack a pair is bounded only when tl and br agree, so a
         # merge of two degenerate pairs is either refused or degenerate.
         slots = {}
-        _place(slots, pair_record(1, c, c), 0.0, 0.0)
+        _place(slots, pair_record(1, c, c), EXACT)
         b = pair_record(2, d, d)
-        if _place(slots, b, 0.0, 0.0):
+        if _place(slots, b, EXACT):
             tl_cost, br_cost = record_corners(b)
             assert tl_cost == br_cost
 
@@ -248,7 +247,7 @@ class TestPathPair:
         merge = PathPair(0, 0, 1, tl_cost, br_cost)
         slots = {1: pair_record(1, a_tl, a_br)}
         b = pair_record(2, b_tl, b_br)
-        assert _place(slots, b, e1, e2) == is_bounded(merge, eps)
+        assert _place(slots, b, eps) == is_bounded(merge, eps)
         if len(slots) == 1:
             assert record_corners(b) == (tl_cost, br_cost)
             # The merged apex is the componentwise minimum of the two
@@ -271,7 +270,7 @@ class TestPathPair:
     def test_first_fit_boundary_is_inclusive(self, resident, newcomer, eps, fits):
         r = pair_record(1, *resident)
         (tl1, tl2), (br1, br2) = newcomer
-        assert (_first_fit([r], tl1, tl2, br1, br2, *eps) is r) == fits
+        assert (_first_fit([r], tl1, tl2, br1, br2, ApproxFactor(*eps)) is r) == fits
 
     def test_trivial_pair(self):
         # A search that starts at its goal stores the start's one-path pair.

@@ -105,20 +105,23 @@ class TestPruning:
         assert better.n_generated > 4
 
 
+SLACK_ONE = ApproxFactor.uniform(1.0)
+
+
 class TestQueueAndMerging:
     def test_insert_into_empty_bucket(self):
         slots = {}
         rec = pair_record(1, (2, 2), (2, 2))
-        assert not _place(slots, rec, 0.0, 0.0)
+        assert not _place(slots, rec, EXACT)
         assert list(slots.values()) == [rec]
 
     def test_mergeable_insert_keeps_bucket_size(self):
         slots = {}
         resident = pair_record(1, (4, 9), (4, 9), h=(10, 20))
         newcomer = pair_record(2, (6, 5), (6, 5), h=(10, 20))
-        assert not _place(slots, resident, 1.0, 1.0)
+        assert not _place(slots, resident, SLACK_ONE)
         # (4,9) and (6,5) merge into tl (4,9), br (6,5): bounded at slack 1.
-        assert _place(slots, newcomer, 1.0, 1.0)
+        assert _place(slots, newcomer, SLACK_ONE)
         assert list(slots.values()) == [newcomer]
         assert not resident[10]
         assert record_corners(newcomer) == (CostVec(4, 9), CostVec(6, 5))
@@ -127,18 +130,18 @@ class TestQueueAndMerging:
 
     def test_unmergeable_insert_grows_bucket(self):
         slots = {}
-        assert not _place(slots, pair_record(1, (2, 9), (2, 9)), 0.0, 0.0)
-        assert not _place(slots, pair_record(2, (9, 2), (9, 2)), 0.0, 0.0)
+        assert not _place(slots, pair_record(1, (2, 9), (2, 9)), EXACT)
+        assert not _place(slots, pair_record(2, (9, 2), (9, 2)), EXACT)
         assert list(slots) == [1, 2]
 
     def test_first_fit_stops_at_first_bounded_merge(self):
         slots = {}
         # Both residents could absorb the incoming pair; only the first
         # (in insertion order) does.
-        _place(slots, pair_record(1, (10, 12), (10, 12)), 1.0, 1.0)
-        _place(slots, pair_record(2, (30, 11), (30, 11)), 1.0, 1.0)
-        assert _first_fit(slots.values(), 11, 11, 11, 11, 1.0, 1.0) is slots[1]
-        assert _place(slots, pair_record(3, (11, 11), (11, 11)), 1.0, 1.0)
+        _place(slots, pair_record(1, (10, 12), (10, 12)), SLACK_ONE)
+        _place(slots, pair_record(2, (30, 11), (30, 11)), SLACK_ONE)
+        assert _first_fit(slots.values(), 11, 11, 11, 11, SLACK_ONE) is slots[1]
+        assert _place(slots, pair_record(3, (11, 11), (11, 11)), SLACK_ONE)
         # The merged pair leaves the first resident's slot for the end.
         assert list(slots) == [2, 3]
         assert record_corners(slots[3]) == (CostVec(10, 12), CostVec(11, 11))
@@ -147,16 +150,35 @@ class TestQueueAndMerging:
     def test_merge_into_solutions_replaces_in_place(self):
         # The goal's solution list is placed into the same way.
         sols = {}
-        _place(sols, pair_record(1, (4, 9), (4, 9)), 1.0, 1.0)
-        assert _place(sols, pair_record(2, (6, 5), (6, 5)), 1.0, 1.0)
+        _place(sols, pair_record(1, (4, 9), (4, 9)), SLACK_ONE)
+        assert _place(sols, pair_record(2, (6, 5), (6, 5)), SLACK_ONE)
         (only,) = sols.values()
         assert record_corners(only) == (CostVec(4, 9), CostVec(6, 5))
 
     def test_merge_into_solutions_appends_when_unbounded(self):
         sols = {}
-        _place(sols, pair_record(1, (2, 9), (2, 9)), 0.0, 0.0)
-        assert not _place(sols, pair_record(2, (9, 2), (9, 2)), 0.0, 0.0)
+        _place(sols, pair_record(1, (2, 9), (2, 9)), EXACT)
+        assert not _place(sols, pair_record(2, (9, 2), (9, 2)), EXACT)
         assert len(sols) == 2
+
+    @pytest.mark.parametrize(
+        "first, second, eps, fits",
+        [
+            # Resident tl, newcomer br: 5 <= (1 + 0)*5 and 6 <= (1 + 0.5)*4.
+            ((5, 6), (5, 4), (0.0, 0.5), True),
+            ((5, 7), (5, 4), (0.0, 0.5), False),
+            # Newcomer tl, resident br: 10 <= (1 + 1)*5 and 8 <= (1 + 1)*4.
+            ((10, 4), (5, 8), (1.0, 1.0), True),
+            ((11, 4), (5, 8), (1.0, 1.0), False),
+        ],
+        ids=["resident-tl-at", "resident-tl-past", "newcomer-tl-at", "newcomer-tl-past"],
+    )
+    def test_engine_merge_boundary_is_inclusive(self, first, second, eps, fits):
+        # Two parallel arcs into vertex 1: the second child meets the
+        # first in its bucket, at or just past the slack bound.
+        g = bigraph_from_arcs(3, [(0, 1, *first), (0, 1, *second), (1, 2, 0, 0)])
+        res = ppa_search(g, h_for(g, 2), 0, 2, ApproxFactor(*eps))
+        assert res.stats.n_merges == fits
 
     def test_pop_orders_by_apex_f(self):
         heap = []
@@ -266,6 +288,26 @@ class TestEdgeCases:
         res = ppa_search(g, h_for(g, 2), 0, 2, ApproxFactor.uniform(1e-20))
         assert res.solution_costs() == [CostVec(b + 3, 2)]
         assert res.solution_vertices(0) == [0, 1, 2]
+
+
+    def test_merge_test_is_exact_below_a_decimal_slack(self):
+        # The double 0.3 lies just below 3/10, so (1 + 0.3) * 10 is below 13
+        # exactly, while 10 + 0.3 * 10 rounds to 13.0 in doubles. The two
+        # arcs must not merge, and both costs are returned.
+        g = bigraph_from_arcs(2, [(0, 1, 10, 13), (0, 1, 13, 10)])
+        res = ppa_search(g, h_for(g, 1), 0, 1, ApproxFactor.uniform(0.3))
+        assert res.solution_costs() == [CostVec(10, 13), CostVec(13, 10)]
+        assert res.stats.n_merges == 0
+
+    def test_merge_test_is_exact_above_2_53_at_tiny_slack(self):
+        # float(2^53 + 3) is 2^53 + 4, so a float merge test takes the two
+        # arcs as within slack 1e-20 of each other; exactly they are not.
+        b = 2**53
+        g = bigraph_from_arcs(2, [(0, 1, b + 3, b + 4), (0, 1, b + 4, b + 3)])
+        eps = ApproxFactor.uniform(1e-20)
+        costs = ppa_search(g, h_for(g, 1), 0, 1, eps).solution_costs()
+        assert costs == [CostVec(b + 3, b + 4), CostVec(b + 4, b + 3)]
+        assert check_approx_frontier(costs, exact_frontier(g, 0, 1), eps).ok
 
 
 class TestProjectionAdversaries:
