@@ -4,8 +4,9 @@ For a fixed goal vertex the table holds, per vertex and per cost
 component, the exact cheapest cost-to-goal when each criterion is
 minimized on its own. Both components are computed independently on the
 reverse adjacency, so the bounds are admissible and consistent for the
-bi-criteria searches. An entry that is not known to be finite reads
-UNREACHABLE, a sentinel that compares greater than any finite cost.
+bi-criteria searches. An entry that is not known to be a distance reads
+UNREACHABLE (-1). No distance is negative, so no distance equals it;
+test for it with ``==`` or ``!=``, never with an order comparison.
 
 A table need not be complete. Built for a query's start, it settles both
 backward searches until the start is settled in both and each has
@@ -19,22 +20,30 @@ that saving for a steadier cost, between 60% and all of a complete
 build, and a later query to that goal finds its start settled if the
 start is among the nearer 60% of the vertices in both criteria.
 
-Publication rule: a vertex's ``h1`` and ``h2`` entries become finite
+Publication rule: a vertex's ``h1`` and ``h2`` entries become distances
 together, once both components have settled it, and never change
-afterwards. Tentative distances, heaps and per-component settled flags
-stay in private resume state. ``h1`` and ``h2`` are grown in place,
-because the engines bind them once per search. So every value an engine
-reads is the exact distance, whichever way the table was built.
+afterwards. Each backward search publishes a vertex as it settles it,
+if the other search has settled it already. Tentative distances (a
+private ``inf`` where none is known yet), heaps and per-component
+settled flags stay in private resume state. ``h1`` and ``h2`` are grown
+in place, because the engines bind them once per search. So every value
+an engine reads is the exact distance, whichever way the table was
+built.
 
-The disk cache (version 2) keeps one entry per (graph digest, goal): the
-pickled ``(goal, h1, h2, complete)``, never the resume state. A loaded
-partial table that must grow rebuilds its frontier from the published
-set: each reverse arc from a published vertex into an unpublished one
-offers the unpublished vertex a tentative distance, and Dijkstra resumes
-from those seeds. This multi-source restart is exact. A shortest path to
-an unpublished vertex leaves the published set, whose entries are exact,
-at a first unpublished vertex, and that vertex's seed is at most its true
-distance.
+The disk cache (version 3) keeps one entry per (graph digest, goal),
+never the resume state. An entry is a flat array of int64 words in the
+machine's byte order: the header ``magic, 3, n, goal, complete,
+crc32(payload)``, then the payload, ``h1`` and then ``h2``. UNREACHABLE
+is stored as is. A load checks the length, the header, the CRC and that
+the goal's entries are 0, and reads anything else as a miss; it never
+runs code from the file. A table with a distance of 2^63 or more does
+not fit the format and is not cached. A loaded partial table that must
+grow rebuilds its frontier from the published set: each reverse arc
+from a published vertex into an unpublished one offers the unpublished
+vertex a tentative distance, and Dijkstra resumes from those seeds.
+This multi-source restart is exact. A shortest path to an unpublished
+vertex leaves the published set, whose entries are exact, at a first
+unpublished vertex, and that vertex's seed is at most its true distance.
 """
 
 from __future__ import annotations
@@ -42,41 +51,37 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import pickle
+import struct
 import tempfile
+import zlib
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from pathlib import Path
 
 from .graph import BiGraph
 
-UNREACHABLE = float("inf")
+UNREACHABLE = -1
 
 # Share of the vertices that each backward search of a table built for a
 # start settles at the least. A higher floor makes a build's cost vary
 # less with the start and saves less (module docstring).
 SETTLE_FLOOR = 0.6
 
-_CACHE_VERSION = 2
+# Tentative distance of a vertex that no backward search has reached.
+_INF = float("inf")
+
+# Cache entry layout (module docstring): _HEADER int64 words, h1, h2.
+_CACHE_VERSION = 3
+_MAGIC = int.from_bytes(b"biroute", "little")
+_HEADER = 6
 
 
-def _settle(
-    g: BiGraph,
-    dist: list,
-    heap: list[int],
-    component: int,
-    settled: list[int] | None = None,
-    stop: int = -1,
-    count: int = 0,
-) -> None:
-    """Run one backward Dijkstra until ``stop`` is settled or ``heap`` is empty.
+def _settle(g: BiGraph, dist: list, heap: list[int], component: int) -> None:
+    """Run one backward Dijkstra until ``heap`` is empty.
 
     ``component`` (1 or 2) picks the cost. ``dist`` holds exact distances
-    to the goal for settled vertices and tentative ones for the rest.
-    With a ``settled`` list, each vertex settled here is appended to it
-    and the search stops after settling ``stop`` (-1: never) or once the
-    list holds ``count`` vertices (0: never). Without one, the search
-    runs to exhaustion.
+    to the goal for settled vertices and tentative ones (``_INF``: none
+    yet) for the rest.
 
     The heap holds one int per entry, ``d * n + v``, popped back with
     ``divmod(key, n)``. Since ``0 <= v < n``, int order on the keys is
@@ -96,10 +101,6 @@ def _settle(
             if nd < dist[source]:
                 dist[source] = nd
                 heappush(heap, nd * n + source)
-        if settled is not None:
-            settled.append(v)
-            if v == stop or len(settled) == count:
-                return
 
 
 @dataclass
@@ -117,8 +118,8 @@ class HeuristicTable:
     """
 
     goal: int
-    h1: list[int | float]
-    h2: list[int | float]
+    h1: list[int]
+    h2: list[int]
     complete: bool = True
     # Resume state of a partial table: the graph, (dist, heap) per
     # component, and per vertex the bit mask of components (1, 2) that
@@ -147,7 +148,7 @@ class HeuristicTable:
             self._grow(-1)
 
     def _grow(self, stop: int, floor: int = 0) -> None:
-        """Settle both components through ``stop`` (-1: to exhaustion), then publish.
+        """Settle both components through ``stop`` (-1: to exhaustion).
 
         Each component settles at least ``floor`` vertices in this call,
         or all it has left.
@@ -155,32 +156,57 @@ class HeuristicTable:
         if self._fronts is None:
             self._restart()
         marks = self._marks
-        fronts = self._fronts
-        new = []
-        for component, (dist, heap) in enumerate(fronts, start=1):
-            settled: list[int] = []
+        for component in (1, 2):
+            settled = 0
             if stop < 0 or not marks[stop] & component:
-                _settle(self._graph, dist, heap, component, settled, stop)
-            if len(settled) < floor:
-                _settle(self._graph, dist, heap, component, settled, count=floor)
-            new.append(settled)
-        (dist1, heap1), (dist2, heap2) = fronts
-        h1, h2 = self.h1, self.h2
-        if heap1 or heap2:
-            for component, settled in enumerate(new, start=1):
-                for v in settled:
-                    mark = marks[v] | component
-                    marks[v] = mark
-                    if mark == 3:
-                        h1[v] = dist1[v]
-                        h2[v] = dist2[v]
-        else:
-            # Both searches are exhausted, so every distance is final.
-            h1[:] = dist1
-            h2[:] = dist2
+                settled = self._advance(component, stop)
+            if settled < floor:
+                self._advance(component, -1, floor - settled)
+        (_, heap1), (_, heap2) = self._fronts
+        if not (heap1 or heap2):
+            # Both searches are exhausted, so every vertex that reaches
+            # the goal is settled in both, and published.
             self.complete = True
             self._graph = self._fronts = self._marks = None
         self._unsaved = True
+
+    def _advance(self, component: int, stop: int, count: int = 0) -> int:
+        """``_settle`` for one component of a partial table, publishing as it goes.
+
+        Each vertex settled here is marked settled in ``component`` and
+        published if the other component has settled it already. Stops
+        after settling ``stop`` (-1: never) or ``count`` vertices (0:
+        never), or when the heap is empty. Returns the number settled.
+        The loop repeats ``_settle``'s so that complete builds, which
+        run ``_settle``, pay nothing for the marks.
+        """
+        g = self._graph
+        n = g.vertex_count
+        reverse_edges = g.reverse_edges
+        marks = self._marks
+        h1, h2 = self.h1, self.h2
+        (dist1, _), (dist2, _) = self._fronts
+        dist, heap = self._fronts[component - 1]
+        settled = 0
+        while heap:
+            d, v = divmod(heappop(heap), n)
+            if d > dist[v]:
+                continue
+            for arc in reverse_edges[v]:
+                nd = d + arc[component]
+                source = arc[0]
+                if nd < dist[source]:
+                    dist[source] = nd
+                    heappush(heap, nd * n + source)
+            mark = marks[v] | component
+            marks[v] = mark
+            if mark == 3:
+                h1[v] = dist1[v]
+                h2[v] = dist2[v]
+            settled += 1
+            if v == stop or settled == count:
+                break
+        return settled
 
     def _restart(self) -> None:
         """Rebuild the resume state from the published entries (module docstring)."""
@@ -189,7 +215,8 @@ class HeuristicTable:
             raise ValueError("a partial heuristic table needs its graph to grow")
         n = g.vertex_count
         h1, h2 = self.h1, self.h2
-        dist1, dist2 = h1.copy(), h2.copy()
+        dist1 = [_INF if d == UNREACHABLE else d for d in h1]
+        dist2 = [_INF if d == UNREACHABLE else d for d in h2]
         marks = bytearray(n)
         seeds = set()
         reverse_edges = g.reverse_edges
@@ -241,12 +268,17 @@ def compute_heuristics(g: BiGraph, goal: int, start: int | None = None) -> Heuri
     """
     _check_vertices(g, goal, start)
     n = g.vertex_count
-    dist1: list[int | float] = [UNREACHABLE] * n
+    dist1: list = [_INF] * n
     dist2 = dist1.copy()
     dist1[goal] = dist2[goal] = 0
     if start is None:
         _settle(g, dist1, [goal], 1)
         _settle(g, dist2, [goal], 2)
+        # Both components reach the same vertices, and every entry left
+        # unreached is the _INF object itself.
+        if _INF in dist1:
+            for v in [v for v, d in enumerate(dist1) if d is _INF]:
+                dist1[v] = dist2[v] = UNREACHABLE
         return HeuristicTable(goal, dist1, dist2)
     table = HeuristicTable(goal, [UNREACHABLE] * n, [UNREACHABLE] * n, complete=False)
     table._graph = g
@@ -273,25 +305,30 @@ def graph_digest(g: BiGraph) -> str:
 
 
 def _cache_path(g: BiGraph, goal: int, cache_dir: str) -> Path:
-    return Path(cache_dir) / f"h-{graph_digest(g)}-{goal}-v{_CACHE_VERSION}.pkl"
+    return Path(cache_dir) / f"h-{graph_digest(g)}-{goal}-v{_CACHE_VERSION}.bin"
 
 
 def _load_entry(path: Path, g: BiGraph, goal: int) -> HeuristicTable | None:
     """The table stored at ``path`` for ``goal``, or None if it is missing or invalid."""
     try:
-        with open(path, "rb") as fh:
-            table = pickle.load(fh)
-        valid = (
-            isinstance(table, HeuristicTable)
-            and table.goal == goal
-            and isinstance(table.complete, bool)
-            and len(table.h1) == len(table.h2) == g.vertex_count
-            and table.h1[goal] == table.h2[goal] == 0
-        )
-    except Exception:  # missing (OSError) or corrupt: pickle may raise anything
+        data = path.read_bytes()
+    except OSError:
         return None
-    if not valid:
+    n = g.vertex_count
+    if len(data) != 8 * (_HEADER + 2 * n):
         return None
+    words = memoryview(data).cast("q")
+    payload = words[_HEADER:]
+    magic, version, size, entry_goal, complete, crc = words[:_HEADER].tolist()
+    if (
+        (magic, version, size, entry_goal) != (_MAGIC, _CACHE_VERSION, n, goal)
+        or complete not in (0, 1)
+        or crc != zlib.crc32(payload)
+        or payload[goal] != 0
+        or payload[n + goal] != 0
+    ):
+        return None
+    table = HeuristicTable(goal, payload[:n].tolist(), payload[n:].tolist(), complete == 1)
     table._graph = g
     table._unsaved = False
     return table
@@ -304,17 +341,26 @@ def store_heuristics(g: BiGraph, h: HeuristicTable, cache_dir: str) -> None:
     if it has grown since. The entry goes through a temp file of its own
     and ``os.replace``, so concurrent writers never clash. A cache that
     cannot be written (any OSError while creating the directory or
-    writing the entry) leaves the entry as it was.
+    writing the entry) leaves the entry as it was, and so does a table
+    with a distance of 2^63 or more, which the format cannot hold.
     """
     if not h._unsaved:
         return
+    n = len(h.h1)
+    try:
+        payload = struct.pack(f"{2 * n}q", *h.h1, *h.h2)
+    except struct.error:
+        return  # a distance of 2^63 or more; a later call recomputes the table
+    header = struct.pack(
+        f"{_HEADER}q", _MAGIC, _CACHE_VERSION, n, h.goal, h.complete, zlib.crc32(payload)
+    )
     cache_path = _cache_path(g, h.goal, cache_dir)
     try:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=cache_path.parent, prefix=cache_path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(h, fh)
+                fh.write(header + payload)
             os.replace(tmp_name, cache_path)
         except BaseException:
             os.unlink(tmp_name)

@@ -18,6 +18,7 @@ the engines compare f2 with ``goal_cut``.
 """
 
 import heapq
+import math
 import random
 from collections import defaultdict
 from heapq import heappop, heappush
@@ -50,8 +51,10 @@ G1_ARCS = [
 ]
 
 
-def _backward_dijkstra(g: BiGraph, goal: int, component: int) -> list[int | float]:
+def _backward_dijkstra(g: BiGraph, goal: int, component: int) -> list[int]:
     """Exact distances to ``goal`` in cost component ``component`` (1 or 2).
+
+    A vertex that cannot reach the goal reads UNREACHABLE.
 
     The heap holds one int per entry, ``d * n + v``, popped back with
     ``divmod(key, n)``. Since ``0 <= v < n``, int order on the keys is
@@ -60,7 +63,7 @@ def _backward_dijkstra(g: BiGraph, goal: int, component: int) -> list[int | floa
     for any cost, above 2^53 and 2^63 included.
     """
     n = g.vertex_count
-    dist: list[int | float] = [UNREACHABLE] * n
+    dist: list[int | float] = [math.inf] * n
     dist[goal] = 0
     heap = [goal]
     reverse_edges = g.reverse_edges
@@ -74,7 +77,7 @@ def _backward_dijkstra(g: BiGraph, goal: int, component: int) -> list[int | floa
             if nd < dist[source]:
                 dist[source] = nd
                 heapq.heappush(heap, nd * n + source)
-    return dist
+    return [UNREACHABLE if d == math.inf else d for d in dist]
 
 
 def anticorrelated_grid(side, rng):

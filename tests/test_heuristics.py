@@ -1,12 +1,16 @@
 """Backward-distance tables: hand values, admissibility, consistency, caching."""
 
+import ast
 import hashlib
 import heapq
+import inspect
 import math
 import os
 import pickle
 import random
 import types
+import zlib
+from array import array
 
 import pytest
 
@@ -33,7 +37,7 @@ from conftest import G1_ARCS, _backward_dijkstra, anticorrelated_grid
 def forward_dijkstra(adjacency, source, component):
     # Independent single-criterion reference, deliberately not reusing
     # the backward implementation under test.
-    dist = [UNREACHABLE] * len(adjacency)
+    dist = [math.inf] * len(adjacency)
     dist[source] = 0
     heap = [(0, source)]
     while heap:
@@ -45,7 +49,7 @@ def forward_dijkstra(adjacency, source, component):
             if d + w < dist[e.target]:
                 dist[e.target] = d + w
                 heapq.heappush(heap, (d + w, e.target))
-    return dist
+    return [UNREACHABLE if d == math.inf else d for d in dist]
 
 
 def transposed(g):
@@ -164,18 +168,51 @@ class TestAgainstForwardDijkstra:
 
 class TestConsistency:
     def test_triangle_inequality_on_every_arc(self):
-        # Consistency: h(u) <= w(u, v) + h(v) whenever h(v) is finite.
+        # Consistency: h(u) <= w(u, v) + h(v) whenever h(v) is a distance;
+        # u then reaches the goal too, so h(u) is a distance as well.
         rng = random.Random(2)
+        checked = 0
         for _ in range(150):
             g = random_graph(rng)
             goal = rng.randrange(g.vertex_count)
             h = compute_heuristics(g, goal)
             for u in range(g.vertex_count):
                 for e in g.edges[u]:
-                    if h.h1[e.target] < UNREACHABLE:
-                        assert h.h1[u] <= e.cost.c1 + h.h1[e.target]
-                    if h.h2[e.target] < UNREACHABLE:
-                        assert h.h2[u] <= e.cost.c2 + h.h2[e.target]
+                    if h.h1[e.target] != UNREACHABLE:
+                        assert UNREACHABLE != h.h1[u] <= e.cost.c1 + h.h1[e.target]
+                        checked += 1
+                    if h.h2[e.target] != UNREACHABLE:
+                        assert UNREACHABLE != h.h2[u] <= e.cost.c2 + h.h2[e.target]
+                        checked += 1
+        assert checked > 0
+
+
+MAGIC = int.from_bytes(b"biroute", "little")
+
+
+def encode_entry(goal, h1, h2, complete=True, magic=MAGIC, version=3, n=None, header_goal=None):
+    """A version 3 cache entry, encoded apart from the writer under test.
+
+    The keywords after ``complete`` override header words.
+    """
+    payload = array("q", h1 + h2).tobytes()
+    n = len(h1) if n is None else n
+    header_goal = goal if header_goal is None else header_goal
+    header = (magic, version, n, header_goal, int(complete), zlib.crc32(payload))
+    return array("q", header).tobytes() + payload
+
+
+def flip_bit(data, index):
+    flipped = bytearray(data)
+    flipped[index] ^= 1
+    return bytes(flipped)
+
+
+def load_entry(path, g, goal):
+    return heuristics_module._load_entry(path, g, goal)
+
+
+G1_H1, G1_H2 = [2, 1, 4, 0], [2, 4, 1, 0]
 
 
 class TestCache:
@@ -192,28 +229,119 @@ class TestCache:
         load_or_compute_heuristics(g1, 0, cache_dir=tmp_path)
         assert len(list(tmp_path.iterdir())) == 2
 
+    def test_entry_layout_is_pinned(self, g1, tmp_path):
+        # Entries written by one version must read back in the next.
+        h = load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
+        (entry,) = tmp_path.iterdir()
+        assert entry.name == f"h-{graph_digest(g1)}-3-v3.bin"
+        assert entry.read_bytes() == encode_entry(3, G1_H1, G1_H2)
+        assert load_entry(entry, g1, 3) == h
+
+    def test_unreachable_is_stored_as_is(self, tmp_path):
+        g = bigraph_from_arcs(3, [(0, 1, 1, 1)])
+        h = load_or_compute_heuristics(g, 1, cache_dir=tmp_path)
+        (entry,) = tmp_path.iterdir()
+        assert entry.read_bytes() == encode_entry(1, [1, 0, UNREACHABLE], [1, 0, UNREACHABLE])
+        assert load_entry(entry, g, 1) == h
+
     @pytest.mark.parametrize(
         "content",
         [
             b"",
             b"garbage\n",
-            pickle.dumps(HeuristicTable(goal=3, h1=[0], h2=[0])),
-            pickle.dumps(HeuristicTable(3, [2, 1, 4, 0], [2, 4, 1, 0], complete=1)),
-            pickle.dumps(HeuristicTable(3, [2, 1, 4, 0], [2, 4, 1], complete=False)),
-            pickle.dumps(HeuristicTable(3, [2, 1, 4, 1], [2, 4, 1, 0], complete=False)),
+            encode_entry(3, [0], [0]),
+            encode_entry(3, G1_H1, G1_H2, complete=2),
+            encode_entry(3, G1_H1, G1_H2, complete=False)[:-8],
+            encode_entry(3, [2, 1, 4, 1], G1_H2, complete=False),
+            encode_entry(3, G1_H1, G1_H2, magic=MAGIC + 1),
+            encode_entry(3, G1_H1, G1_H2, version=2),
+            encode_entry(3, G1_H1, G1_H2, n=3),
+            encode_entry(3, G1_H1, G1_H2, header_goal=0),
+            # A byte of h1[1], so only the CRC tells.
+            flip_bit(encode_entry(3, G1_H1, G1_H2), 8 * (6 + 1)),
         ],
-        ids=["empty", "garbage", "misshapen", "non_bool_complete", "short_h2", "goal_not_zero"],
+        ids=[
+            "empty",
+            "garbage",
+            "misshapen",
+            "non_bool_complete",
+            "short_h2",
+            "goal_not_zero",
+            "wrong_magic",
+            "version_2",
+            "wrong_n_in_header",
+            "wrong_goal_in_header",
+            "flipped_payload_byte",
+        ],
     )
     def test_bad_entry_is_recomputed_and_rewritten(self, g1, tmp_path, content):
         load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
         (entry,) = tmp_path.iterdir()
         entry.write_bytes(content)
+        assert load_entry(entry, g1, 3) is None
         h = load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
-        assert h.h1 == [2, 1, 4, 0] and h.h2 == [2, 4, 1, 0]
+        assert h.h1 == G1_H1 and h.h2 == G1_H2
         # The entry is rewritten in place and no temp file is left behind.
         assert list(tmp_path.iterdir()) == [entry]
-        with open(entry, "rb") as fh:
-            assert pickle.load(fh) == h
+        assert entry.read_bytes() == encode_entry(3, G1_H1, G1_H2)
+        assert load_entry(entry, g1, 3) == h
+
+    def test_loading_never_unpickles(self, g1, tmp_path):
+        # A shared cache directory must not be a way to run code: plant a
+        # pickle that would create a marker file, under the version 2 name
+        # and the version 3 name of the entry a load reads.
+        class Planted:
+            def __init__(self, marker):
+                self.marker = marker
+
+            def __reduce__(self):
+                return open, (str(self.marker), "w")
+
+        live = tmp_path / "live"
+        with pickle.loads(pickle.dumps(Planted(live))):
+            pass
+        assert live.exists()  # the planted bytes do run code when unpickled
+        marker = tmp_path / "marker"
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        stem = f"h-{graph_digest(g1)}-3"
+        for name in (f"{stem}-v2.pkl", f"{stem}-v3.bin"):
+            (cache / name).write_bytes(pickle.dumps(Planted(marker)))
+        h = load_or_compute_heuristics(g1, 3, cache_dir=cache)
+        assert h == compute_heuristics(g1, 3)
+        assert not marker.exists()
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(heuristics_module))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert "pickle" not in imported and "hashlib" in imported
+
+    def test_distances_from_2_63_are_not_cached(self, tmp_path):
+        # The graphs of test_costs_above_2_62_stay_exact: a table whose
+        # distances fit int64 round-trips exactly; one with a distance of
+        # 2^63 or more writes nothing, and a reload recomputes it.
+        big = 2**62
+        rng = random.Random(3)
+        graphs = [shifted(bigraph_from_arcs(4, G1_ARCS), big)]
+        graphs += [shifted(random_graph(rng), big) for _ in range(50)]
+        stored = skipped = 0
+        for i, g in enumerate(graphs):
+            cache = tmp_path / str(i)
+            for goal in range(g.vertex_count):
+                fresh = compute_heuristics(g, goal)
+                h = load_or_compute_heuristics(g, goal, cache_dir=cache)
+                assert h == fresh
+                entry = heuristics_module._cache_path(g, goal, cache)
+                if max(fresh.h1 + fresh.h2) >= 2**63:
+                    skipped += 1
+                    assert not entry.exists()
+                else:
+                    stored += 1
+                    assert load_entry(entry, g, goal) == fresh
+                assert load_or_compute_heuristics(g, goal, cache_dir=cache) == fresh
+        assert stored > 0 and skipped > 0
 
     def test_no_cache_dir_means_no_files(self, g1, tmp_path):
         h = load_or_compute_heuristics(g1, 3, cache_dir=None)
@@ -233,9 +361,19 @@ class TestCache:
         def fail(*args, **kwargs):
             raise PermissionError(13, "simulated", step)
 
+        def fdopen_failing_write(fd, mode):
+            fh = os.fdopen(fd, mode)
+            fh.write = fail
+            return fh
+
         patched = {
             "mkstemp": ("tempfile", types.SimpleNamespace(mkstemp=fail)),
-            "write": ("pickle", types.SimpleNamespace(load=pickle.load, dump=fail)),
+            "write": (
+                "os",
+                types.SimpleNamespace(
+                    fdopen=fdopen_failing_write, replace=os.replace, unlink=os.unlink
+                ),
+            ),
             "replace": (
                 "os",
                 types.SimpleNamespace(fdopen=os.fdopen, replace=fail, unlink=os.unlink),
@@ -449,16 +587,16 @@ class TestPartialCache:
         goal = grid_vertex(self.SIDE, *self.GOAL)
         return solve_query(g, grid_vertex(self.SIDE, *start), goal, "ppa", EXACT, h_cache_dir=cache)
 
-    @staticmethod
-    def entry(cache):
+    def entry(self, cache, grid):
         (path,) = cache.iterdir()
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
+        table = load_entry(path, grid, grid_vertex(self.SIDE, *self.GOAL))
+        assert table is not None
+        return table
 
     def test_miss_writes_one_entry_after_its_search(self, grid, tmp_path, writes):
         self.solve(grid, self.START, tmp_path)
         assert len(writes) == 1
-        stored = self.entry(tmp_path)
+        stored = self.entry(tmp_path, grid)
         built = compute_heuristics(
             grid, grid_vertex(self.SIDE, *self.GOAL), grid_vertex(self.SIDE, *self.START)
         )
@@ -467,18 +605,18 @@ class TestPartialCache:
 
     def test_hit_that_settles_nothing_writes_nothing(self, grid, tmp_path, writes):
         self.solve(grid, self.START, tmp_path)
-        before = self.entry(tmp_path)
+        before = self.entry(tmp_path, grid)
         writes.clear()
         report, _ = self.solve(grid, self.START, tmp_path)
-        assert writes == [] and self.entry(tmp_path) == before
+        assert writes == [] and self.entry(tmp_path, grid) == before
 
     def test_farther_start_grows_and_rewrites(self, grid, tmp_path, writes):
         self.solve(grid, self.START, tmp_path)
-        before = self.entry(tmp_path)
+        before = self.entry(tmp_path, grid)
         writes.clear()
         self.solve(grid, self.FARTHER, tmp_path)
         assert len(writes) == 1
-        after = self.entry(tmp_path)
+        after = self.entry(tmp_path, grid)
         farther = grid_vertex(self.SIDE, *self.FARTHER)
         assert before.h1[farther] == UNREACHABLE != after.h1[farther]
         assert published(after) > published(before)
@@ -487,7 +625,7 @@ class TestPartialCache:
     def test_partial_entry_loads_complete_without_start(self, grid, tmp_path):
         self.solve(grid, self.START, tmp_path)
         goal = grid_vertex(self.SIDE, *self.GOAL)
-        assert not self.entry(tmp_path).complete
+        assert not self.entry(tmp_path, grid).complete
         h = load_or_compute_heuristics(grid, goal, tmp_path)
         assert h.complete and h == compute_heuristics(grid, goal)
-        assert self.entry(tmp_path) == h
+        assert self.entry(tmp_path, grid) == h
