@@ -31,6 +31,7 @@ from biroute import (
     store_heuristics,
 )
 from biroute.bench import solve_query
+from biroute.heuristics import _cache_path, _load_entry
 from conftest import G1_ARCS, _backward_dijkstra, anticorrelated_grid
 
 
@@ -208,10 +209,6 @@ def flip_bit(data, index):
     return bytes(flipped)
 
 
-def load_entry(path, g, goal):
-    return heuristics_module._load_entry(path, g, goal)
-
-
 G1_H1, G1_H2 = [2, 1, 4, 0], [2, 4, 1, 0]
 
 
@@ -235,14 +232,14 @@ class TestCache:
         (entry,) = tmp_path.iterdir()
         assert entry.name == f"h-{graph_digest(g1)}-3-v3.bin"
         assert entry.read_bytes() == encode_entry(3, G1_H1, G1_H2)
-        assert load_entry(entry, g1, 3) == h
+        assert _load_entry(entry, g1, 3) == h
 
     def test_unreachable_is_stored_as_is(self, tmp_path):
         g = bigraph_from_arcs(3, [(0, 1, 1, 1)])
         h = load_or_compute_heuristics(g, 1, cache_dir=tmp_path)
         (entry,) = tmp_path.iterdir()
         assert entry.read_bytes() == encode_entry(1, [1, 0, UNREACHABLE], [1, 0, UNREACHABLE])
-        assert load_entry(entry, g, 1) == h
+        assert _load_entry(entry, g, 1) == h
 
     @pytest.mark.parametrize(
         "content",
@@ -278,13 +275,13 @@ class TestCache:
         load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
         (entry,) = tmp_path.iterdir()
         entry.write_bytes(content)
-        assert load_entry(entry, g1, 3) is None
+        assert _load_entry(entry, g1, 3) is None
         h = load_or_compute_heuristics(g1, 3, cache_dir=tmp_path)
         assert h.h1 == G1_H1 and h.h2 == G1_H2
         # The entry is rewritten in place and no temp file is left behind.
         assert list(tmp_path.iterdir()) == [entry]
         assert entry.read_bytes() == encode_entry(3, G1_H1, G1_H2)
-        assert load_entry(entry, g1, 3) == h
+        assert _load_entry(entry, g1, 3) == h
 
     def test_loading_never_unpickles(self, g1, tmp_path):
         # A shared cache directory must not be a way to run code: plant a
@@ -333,13 +330,13 @@ class TestCache:
                 fresh = compute_heuristics(g, goal)
                 h = load_or_compute_heuristics(g, goal, cache_dir=cache)
                 assert h == fresh
-                entry = heuristics_module._cache_path(g, goal, cache)
+                entry = _cache_path(g, goal, cache)
                 if max(fresh.h1 + fresh.h2) >= 2**63:
                     skipped += 1
                     assert not entry.exists()
                 else:
                     stored += 1
-                    assert load_entry(entry, g, goal) == fresh
+                    assert _load_entry(entry, g, goal) == fresh
                 assert load_or_compute_heuristics(g, goal, cache_dir=cache) == fresh
         assert stored > 0 and skipped > 0
 
@@ -589,7 +586,7 @@ class TestPartialCache:
 
     def entry(self, cache, grid):
         (path,) = cache.iterdir()
-        table = load_entry(path, grid, grid_vertex(self.SIDE, *self.GOAL))
+        table = _load_entry(path, grid, grid_vertex(self.SIDE, *self.GOAL))
         assert table is not None
         return table
 
