@@ -1,13 +1,11 @@
 """Query execution, reporting, benchmarking, and verification sweeps.
 
 A query report captures one (source, target, algorithm, slack) run. The
-CSV schema is fixed and documented here once:
-
-    query_id,source,target,algorithm,eps1,eps2,n_solutions,n_expanded,
-    n_generated,time_ms,heuristic_ms,solution_costs
-
-``solution_costs`` is semicolon-joined ``c1:c2`` entries. Vertex ids in
-reports are 1-based, matching the DIMACS files the graphs come from.
+report schema is ``QueryReport``'s fields: in field order they are the
+CSV columns (``CSV_COLUMNS``) and the keys of the ``solve`` JSON.
+``solution_costs`` is semicolon-joined ``c1:c2`` entries in the CSV and
+``[c1, c2]`` lists in the JSON. Vertex ids in reports are 1-based,
+matching the DIMACS files the graphs come from.
 Search time and heuristic time are reported separately. ``solve_query``
 without a given table builds one settled through its start and at least
 60% of the vertices (see ``heuristics``): ``heuristic_ms`` covers the
@@ -15,7 +13,7 @@ cache load or that build, plus the cache write after the search, and
 ``time_ms`` covers the search, including whatever it settles of the
 table on demand. A
 benchmark's tables are complete, and its ``heuristic_ms`` is one build
-per goal.
+per goal. A benchmark runs ``boa`` once per query, at zero slack.
 After the data rows a benchmark appends, per (algorithm, eps1, eps2) in
 first-appearance order, three summary rows whose ``query_id`` column says
 ``avg``, ``min``, or ``max``; their endpoint and cost columns are empty.
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .boa import boa_search
 from .graph import BiGraph, CostVec
@@ -40,59 +38,36 @@ from .oracle import (
 from .pareto import EXACT, ApproxFactor, SearchResult
 from .ppa import ppa_search
 
-CSV_COLUMNS = (
-    "query_id",
-    "source",
-    "target",
-    "algorithm",
-    "eps1",
-    "eps2",
-    "n_solutions",
-    "n_expanded",
-    "n_generated",
-    "time_ms",
-    "heuristic_ms",
-    "solution_costs",
-)
-
 
 @dataclass
 class QueryReport:
-    """Everything one benchmark row or one solve response needs."""
+    """One benchmark row, data or summary, or one solve response."""
 
-    query_id: int
-    source: int
-    target: int
+    query_id: int | str
+    source: int | str
+    target: int | str
     algorithm: str
     eps1: float
     eps2: float
-    n_solutions: int
-    n_expanded: int
-    n_generated: int
+    n_solutions: int | float
+    n_expanded: int | float
+    n_generated: int | float
     time_ms: float
     heuristic_ms: float
     solution_costs: list[CostVec]
 
     def to_json_dict(self, paths: list[list[int]] | None = None) -> dict:
-        payload = {
-            "query_id": self.query_id,
-            "source": self.source,
-            "target": self.target,
-            "algorithm": self.algorithm,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "n_solutions": self.n_solutions,
-            "n_expanded": self.n_expanded,
-            "n_generated": self.n_generated,
-            "time_ms": round(self.time_ms, 3),
-            "heuristic_ms": round(self.heuristic_ms, 3),
-            "solution_costs": [[c.c1, c.c2] for c in self.solution_costs],
-        }
+        payload = {name: getattr(self, name) for name in CSV_COLUMNS}
+        payload["time_ms"] = round(self.time_ms, 3)
+        payload["heuristic_ms"] = round(self.heuristic_ms, 3)
+        payload["solution_costs"] = [[c.c1, c.c2] for c in self.solution_costs]
         if paths is not None:
             payload["solution_paths"] = paths
         return payload
 
     def csv_row(self) -> str:
+        """Counts print exactly when they are ints, averages to six digits."""
+        counts = (self.n_solutions, self.n_expanded, self.n_generated)
         costs = ";".join(f"{c.c1}:{c.c2}" for c in self.solution_costs)
         return ",".join(
             (
@@ -102,14 +77,15 @@ class QueryReport:
                 self.algorithm,
                 f"{self.eps1:g}",
                 f"{self.eps2:g}",
-                str(self.n_solutions),
-                str(self.n_expanded),
-                str(self.n_generated),
+                *(str(n) if isinstance(n, int) else f"{n:.6g}" for n in counts),
                 f"{self.time_ms:.3f}",
                 f"{self.heuristic_ms:.3f}",
                 costs,
             )
         )
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(QueryReport))
 
 
 def run_engine(
@@ -122,10 +98,13 @@ def run_engine(
 ) -> SearchResult:
     """Dispatch one 0-based query to the named engine.
 
-    ``boa`` always runs exact; ``boa_eps`` and ``ppa`` honor ``eps``.
+    ``boa`` is exact and raises ValueError at a nonzero slack; ``boa_eps``
+    and ``ppa`` honor ``eps``.
     """
     if algorithm == "boa":
-        return boa_search(g, h, start, goal, EXACT)
+        if eps.eps1 or eps.eps2:
+            raise ValueError(f"boa is exact; use boa_eps at slack ({eps.eps1:g}, {eps.eps2:g})")
+        return boa_search(g, h, start, goal, eps)
     if algorithm == "boa_eps":
         return boa_search(g, h, start, goal, eps)
     if algorithm == "ppa":
@@ -233,13 +212,13 @@ def bench_run(
     algorithms: tuple[str, ...],
     h_cache_dir: str | None = None,
 ) -> list[QueryReport]:
-    """Run the benchmark grid over seeded random queries, in query order."""
+    """Run the grid over seeded random queries, in query order; ``boa`` runs only at 0."""
     rows = []
     for query_id, (start, goal, h, heuristic_ms) in enumerate(
         sample_queries(g, n_queries, seed, h_cache_dir=h_cache_dir)
     ):
         for algorithm in algorithms:
-            for eps in eps_grid:
+            for eps in (EXACT,) if algorithm == "boa" else eps_grid:
                 report, _ = solve_query(
                     g, start, goal, algorithm, eps,
                     query_id=query_id, h=h, heuristic_ms=heuristic_ms,
@@ -248,52 +227,25 @@ def bench_run(
     return rows
 
 
-def _fmt_agg(value: float) -> str:
-    """Counts (ints) exactly, averages to six significant digits."""
-    return str(value) if isinstance(value, int) else f"{value:.6g}"
-
-
 def summary_rows(reports: list[QueryReport]) -> list[str]:
     """Aggregate rows per (algorithm, eps1, eps2), in first-appearance order."""
     groups: dict[tuple[str, float, float], list[QueryReport]] = {}
     for r in reports:
         groups.setdefault((r.algorithm, r.eps1, r.eps2), []).append(r)
+    measures = [f.name for f in fields(QueryReport)[6:-1]]  # between the key and the costs
     rows = []
     for (algorithm, eps1, eps2), group in groups.items():
-        metrics = {
-            "n_solutions": [r.n_solutions for r in group],
-            "n_expanded": [r.n_expanded for r in group],
-            "n_generated": [r.n_generated for r in group],
-            "time_ms": [r.time_ms for r in group],
-            "heuristic_ms": [r.heuristic_ms for r in group],
-        }
+        columns = [[getattr(r, name) for r in group] for name in measures]
         for kind, agg in (("avg", lambda xs: sum(xs) / len(xs)), ("min", min), ("max", max)):
-            rows.append(
-                ",".join(
-                    (
-                        kind,
-                        "",
-                        "",
-                        algorithm,
-                        f"{eps1:g}",
-                        f"{eps2:g}",
-                        _fmt_agg(agg(metrics["n_solutions"])),
-                        _fmt_agg(agg(metrics["n_expanded"])),
-                        _fmt_agg(agg(metrics["n_generated"])),
-                        f"{agg(metrics['time_ms']):.3f}",
-                        f"{agg(metrics['heuristic_ms']):.3f}",
-                        "",
-                    )
-                )
-            )
+            summary = QueryReport(kind, "", "", algorithm, eps1, eps2, *map(agg, columns), [])
+            rows.append(summary.csv_row())
     return rows
 
 
-def render_csv(reports: list[QueryReport], with_summary: bool = True) -> str:
+def render_csv(reports: list[QueryReport]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(r.csv_row() for r in reports)
-    if with_summary and reports:
-        lines.extend(summary_rows(reports))
+    lines.extend(summary_rows(reports))
     return "\n".join(lines) + "\n"
 
 
@@ -313,7 +265,7 @@ class VerifySummary:
     instances_checked: int = 0
     skipped_seeds: list[int] = field(default_factory=list)
     cells: dict[tuple[str, float, float], VerifyCell] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
+    failures: list[tuple[int, ApproxFactor, str]] = field(default_factory=list)
     candidate_costs: int = 0
     member_costs: int = 0
 
@@ -340,6 +292,7 @@ def verify_run(
     outgrows the label budget are skipped and reported, not failed. Hard
     conditions per (instance, eps, algorithm): the engine's cost set must
     cover the exact frontier within eps and be mutually non-dominated.
+    Each failure is recorded as ``(instance seed, eps, description)``.
     """
     summary = VerifySummary(instances_requested=n_instances)
     for i in range(n_instances):
@@ -367,10 +320,10 @@ def verify_run(
                     cell.passed += 1
                 else:
                     cell.failed += 1
-                    summary.failures.append(
+                    summary.failures.append((instance_seed, eps, (
                         f"seed {instance_seed} ({start + 1}->{goal + 1}) "
                         f"{algorithm} eps=({eps.eps1:g},{eps.eps2:g}): "
                         f"uncovered={list(report.uncovered)} "
                         f"dominated={list(report.dominated_pairs)}"
-                    )
+                    )))
     return summary

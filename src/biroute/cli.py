@@ -238,8 +238,16 @@ def cmd_verify(parser: _Parser, args) -> int:
         print(f"skipped (label budget): seeds {summary.skipped_seeds}")
     print(f"instances checked: {summary.instances_checked}/{summary.instances_requested}")
     if not summary.ok:
-        for line in summary.failures:
-            print(f"FAIL {line}", file=sys.stderr)
+        for instance_seed, eps, line in summary.failures:
+            # The grid is uniform, and repr() gives back the exact double.
+            print(
+                f"FAIL {line}\n"
+                f"repro: biroute verify --instances 1 --seed {instance_seed} "
+                f"--max-n {args.max_n} --max-degree {args.max_degree} "
+                f"--max-cost {args.max_cost} --label-budget {args.label_budget} "
+                f"--eps-grid {eps.eps1!r}",
+                file=sys.stderr,
+            )
         return EXIT_VERIFY
     return EXIT_OK
 

@@ -127,6 +127,15 @@ class BiGraph:
         return sum(len(adj) for adj in self.edges)
 
 
+def check_endpoints(g: BiGraph, start: int | None, goal: int) -> None:
+    """Raise ValueError unless ``goal``, and ``start`` unless None, lie in ``[0, n)``."""
+    n = g.vertex_count
+    if not 0 <= goal < n:
+        raise ValueError(f"goal {goal} outside [0, {n})")
+    if start is not None and not 0 <= start < n:
+        raise ValueError(f"start {start} outside [0, {n})")
+
+
 def parse_dimacs_gr(stream: TextIO) -> tuple[int, list[tuple[int, int, int]]]:
     """Parse one DIMACS ``.gr`` file into ``(n, arcs)``.
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from pathlib import Path
 
-from .graph import BiGraph
+from .graph import BiGraph, check_endpoints
 
 UNREACHABLE = -1
 
@@ -242,21 +242,12 @@ class HeuristicTable:
 
 def validate_query(g: BiGraph, h: HeuristicTable, start: int, goal: int) -> None:
     """Raise ValueError unless ``start``/``goal`` lie in ``g`` and ``h`` fits both."""
+    check_endpoints(g, start, goal)
     n = g.vertex_count
-    if not (0 <= start < n and 0 <= goal < n):
-        raise ValueError(f"endpoints ({start}, {goal}) outside [0, {n})")
     if h.goal != goal:
         raise ValueError(f"heuristic table was built for goal {h.goal}, not {goal}")
     if len(h.h1) != n or len(h.h2) != n:
         raise ValueError("heuristic table size does not match the graph")
-
-
-def _check_vertices(g: BiGraph, goal: int, start: int | None) -> None:
-    n = g.vertex_count
-    if not (0 <= goal < n):
-        raise ValueError(f"goal {goal} outside [0, {n})")
-    if start is not None and not (0 <= start < n):
-        raise ValueError(f"start {start} outside [0, {n})")
 
 
 def compute_heuristics(g: BiGraph, goal: int, start: int | None = None) -> HeuristicTable:
@@ -266,7 +257,7 @@ def compute_heuristics(g: BiGraph, goal: int, start: int | None = None) -> Heuri
     once ``start`` is settled in both and each has settled at least
     ``SETTLE_FLOOR`` of the vertices, and the table grows on demand.
     """
-    _check_vertices(g, goal, start)
+    check_endpoints(g, start, goal)
     n = g.vertex_count
     dist1: list = [_INF] * n
     dist2 = dist1.copy()
@@ -387,7 +378,7 @@ def load_or_compute_heuristics(
     args = (g, goal) if start is None else (g, goal, start)
     if cache_dir is None:
         return compute_heuristics(*args)
-    _check_vertices(g, goal, start)
+    check_endpoints(g, start, goal)
     table = _load_entry(_cache_path(g, goal, cache_dir), g, goal)
     if table is None:
         table = compute_heuristics(*args)

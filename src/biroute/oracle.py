@@ -19,7 +19,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import BiGraph, CostVec, bigraph_from_arcs
+from .graph import BiGraph, CostVec, bigraph_from_arcs, check_endpoints
 from .pareto import ApproxFactor, approx_dominates, pareto_filter
 
 
@@ -64,9 +64,8 @@ def exact_frontier(
     re-queued whenever it survives insertion. The budget caps total labels
     ever inserted so oversized instances fail fast instead of thrashing.
     """
+    check_endpoints(g, start, goal)
     n = g.vertex_count
-    if not (0 <= start < n and 0 <= goal < n):
-        raise ValueError(f"endpoints ({start}, {goal}) outside [0, {n})")
     edges = g.edges
     labels: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     labels[start].append((0, 0))

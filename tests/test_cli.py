@@ -12,14 +12,18 @@ import pytest
 import biroute.heuristics as heuristics
 from biroute import (
     EXACT,
+    ApproxFactor,
     CostVec,
     QueryReport,
     bench_run,
+    compute_heuristics,
+    ppa_search,
     random_instance,
     render_csv,
+    run_engine,
     write_gr_pair,
 )
-from biroute.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from biroute.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from conftest import anticorrelated_grid
 
 
@@ -419,6 +423,34 @@ class TestBench:
         assert [r["query_id"] for r in summary] == ["avg", "min", "max"]
 
 
+    def test_boa_runs_once_per_query_at_zero_slack(self, capsys, g1_files):
+        p1, p2 = g1_files
+        code, out, err = run_cli(
+            capsys, "bench", "--gr1", str(p1), "--gr2", str(p2),
+            "--queries", "3", "--seed", "0", "--eps-grid", "0.5,0",
+            "--algs", "boa,boa-eps",
+        )
+        assert code == EXIT_OK, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        cells = [(r["query_id"], r["algorithm"], r["eps1"], r["eps2"]) for r in rows]
+        assert cells == [
+            *(
+                cell
+                for q in "012"
+                for cell in (
+                    (q, "boa", "0", "0"),
+                    (q, "boa_eps", "0.5", "0.5"),
+                    (q, "boa_eps", "0", "0"),
+                )
+            ),
+            *(
+                (kind, alg, e, e)
+                for alg, e in (("boa", "0"), ("boa_eps", "0.5"), ("boa_eps", "0"))
+                for kind in ("avg", "min", "max")
+            ),
+        ]
+
+
 class TestVerifyCommand:
     def test_small_verify_passes(self, capsys):
         code, out, err = run_cli(
@@ -459,6 +491,32 @@ class TestVerifyCommand:
             "eps=(4e-07,4e-07) boa_eps: 5/5 passed",
             "eps=(4e-07,4e-07) ppa: 5/5 passed",
         ]
+
+    def test_failure_prints_a_repro_that_fails_the_same_way(self, capsys, monkeypatch):
+        def drop_last_solution(*args):
+            result = ppa_search(*args)
+            del result.costs[-1:], result.solutions[-1:]
+            return result
+
+        monkeypatch.setattr("biroute.bench.ppa_search", drop_last_solution)
+        code, _, err = run_cli(
+            capsys, "verify", "--instances", "3", "--seed", "7", "--max-n", "8",
+            "--eps-grid", "0,0.3",
+        )
+        assert code == EXIT_VERIFY
+        lines = err.splitlines()
+        assert len(lines) == 12  # 3 instances x 2 slacks, each a FAIL and a repro
+        for fail, repro in zip(lines[::2], lines[1::2]):
+            assert fail.startswith("FAIL seed ") and " ppa eps=" in fail
+            seed = fail.split()[2]
+            eps = "0.0" if "eps=(0,0)" in fail else "0.3"
+            assert repro == (
+                f"repro: biroute verify --instances 1 --seed {seed} --max-n 8 "
+                f"--max-degree 4 --max-cost 10 --label-budget 100000 --eps-grid {eps}"
+            )
+            code, _, again = run_cli(capsys, *repro.split()[2:])
+            assert code == EXIT_VERIFY
+            assert again.splitlines() == [fail, repro]
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -517,6 +575,15 @@ class TestLibraryBench:
             assert build_ms.setdefault(r.target, r.heuristic_ms) == r.heuristic_ms
         assert len(build_ms) < 8 and {t - 1 for t in build_ms} <= set(built)
 
+    def test_boa_rejects_a_nonzero_slack(self, g1):
+        h = compute_heuristics(g1, 3)
+        assert run_engine(g1, h, 0, 3, "boa", ApproxFactor(0.0, 0.0)).costs == [
+            CostVec(2, 8), CostVec(8, 2),
+        ]
+        for eps in (ApproxFactor(0.5, 0.5), ApproxFactor(0.0, 1e-20), ApproxFactor(0.1, 0.0)):
+            with pytest.raises(ValueError, match="boa is exact"):
+                run_engine(g1, h, 0, 3, "boa", eps)
+
     def test_summary_rows_print_large_counts_exactly(self):
         def report(query_id, n_expanded):
             return QueryReport(
@@ -536,3 +603,76 @@ class TestLibraryBench:
         assert summary["max"]["n_expanded"] == "2000001"
         assert summary["max"]["n_generated"] == "2000002"
         assert summary["avg"]["n_expanded"] == "1.61728e+06"
+
+
+class TestReportFormat:
+    """The exact text of the CSV table and the JSON answer."""
+
+    REPORTS = (
+        QueryReport(
+            query_id=0, source=1, target=4, algorithm="ppa", eps1=4e-07, eps2=4e-07,
+            n_solutions=2, n_expanded=1_234_567, n_generated=2_000_001,
+            time_ms=1.23456, heuristic_ms=0.5,
+            solution_costs=[CostVec(2, 8), CostVec(8, 2)],
+        ),
+        QueryReport(
+            query_id=1, source=3, target=4, algorithm="ppa", eps1=4e-07, eps2=4e-07,
+            n_solutions=1, n_expanded=7, n_generated=10,
+            time_ms=0.0004, heuristic_ms=12.3456789,
+            solution_costs=[CostVec(2**53 + 1, 3)],
+        ),
+        QueryReport(
+            query_id=0, source=1, target=4, algorithm="boa_eps", eps1=0.3, eps2=0.3,
+            n_solutions=0, n_expanded=0, n_generated=0,
+            time_ms=0.0, heuristic_ms=0.0, solution_costs=[],
+        ),
+    )
+
+    def test_render_csv_text(self):
+        assert render_csv(list(self.REPORTS)) == (
+            "query_id,source,target,algorithm,eps1,eps2,n_solutions,n_expanded,"
+            "n_generated,time_ms,heuristic_ms,solution_costs\n"
+            "0,1,4,ppa,4e-07,4e-07,2,1234567,2000001,1.235,0.500,2:8;8:2\n"
+            "1,3,4,ppa,4e-07,4e-07,1,7,10,0.000,12.346,9007199254740993:3\n"
+            "0,1,4,boa_eps,0.3,0.3,0,0,0,0.000,0.000,\n"
+            "avg,,,ppa,4e-07,4e-07,1.5,617287,1.00001e+06,0.617,6.423,\n"
+            "min,,,ppa,4e-07,4e-07,1,7,10,0.000,0.500,\n"
+            "max,,,ppa,4e-07,4e-07,2,1234567,2000001,1.235,12.346,\n"
+            "avg,,,boa_eps,0.3,0.3,0,0,0,0.000,0.000,\n"
+            "min,,,boa_eps,0.3,0.3,0,0,0,0.000,0.000,\n"
+            "max,,,boa_eps,0.3,0.3,0,0,0,0.000,0.000,\n"
+        )
+
+    def test_render_csv_without_reports_is_the_header(self):
+        assert render_csv([]) == (
+            "query_id,source,target,algorithm,eps1,eps2,n_solutions,n_expanded,"
+            "n_generated,time_ms,heuristic_ms,solution_costs\n"
+        )
+
+    def test_json_keys_and_values(self):
+        expected = [
+            ("query_id", 0), ("source", 1), ("target", 4), ("algorithm", "ppa"),
+            ("eps1", 4e-07), ("eps2", 4e-07), ("n_solutions", 2),
+            ("n_expanded", 1234567), ("n_generated", 2000001),
+            ("time_ms", 1.235), ("heuristic_ms", 0.5),
+            ("solution_costs", [[2, 8], [8, 2]]),
+        ]
+        assert list(self.REPORTS[0].to_json_dict().items()) == expected
+        paths = [[1, 2, 4], [1, 3, 4]]
+        assert list(self.REPORTS[0].to_json_dict(paths).items()) == [
+            *expected, ("solution_paths", paths)
+        ]
+
+    def test_json_text(self):
+        assert json.dumps(self.REPORTS[1].to_json_dict()) == (
+            '{"query_id": 1, "source": 3, "target": 4, "algorithm": "ppa", '
+            '"eps1": 4e-07, "eps2": 4e-07, "n_solutions": 1, "n_expanded": 7, '
+            '"n_generated": 10, "time_ms": 0.0, "heuristic_ms": 12.346, '
+            '"solution_costs": [[9007199254740993, 3]]}'
+        )
+        assert json.dumps(self.REPORTS[2].to_json_dict([])) == (
+            '{"query_id": 0, "source": 1, "target": 4, "algorithm": "boa_eps", '
+            '"eps1": 0.3, "eps2": 0.3, "n_solutions": 0, "n_expanded": 0, '
+            '"n_generated": 0, "time_ms": 0.0, "heuristic_ms": 0.0, '
+            '"solution_costs": [], "solution_paths": []}'
+        )
