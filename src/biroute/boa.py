@@ -40,15 +40,14 @@ def boa_search(
 ) -> SearchResult:
     """Enumerate goal paths whose costs form an approximate Pareto frontier.
 
-    ``h`` must be the heuristic table computed for ``goal``. Solutions are
-    returned in discovery order, ascending in c1 and strictly descending
-    in c2. An unreachable goal yields an empty result.
+    ``h`` must be the heuristic table computed for ``goal``; a start that
+    cannot reach it (``validate_query``) yields an empty result. Solutions
+    come in discovery order, ascending in c1 and strictly descending in c2.
     """
-    validate_query(g, h, start, goal)
     result = SearchResult()
-    h1, h2 = h.h1, h.h2
-    if h1[start] == UNREACHABLE and not h.settle(start):
+    if not validate_query(g, h, start, goal):
         return result
+    h1, h2 = h.h1, h.h2
     complete = h.complete  # a partial table settles the vertices it lacks
     ratio2 = eps.ratios[1]
     cut: float | int = _INF  # goal_cut of g2min[goal]

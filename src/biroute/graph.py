@@ -45,9 +45,6 @@ class CostVec(NamedTuple):
     c1: int
     c2: int
 
-    def __add__(self, other):  # type: ignore[override]
-        return CostVec(self.c1 + other[0], self.c2 + other[1])
-
 
 class Edge(NamedTuple):
     """One outgoing arc: target vertex plus its cost vector."""

@@ -113,8 +113,8 @@ class HeuristicTable:
     is ``complete``; in a partial table it may also mean that ``v`` is not
     settled yet, and ``settle(v)`` tells the two apart.
 
-    Equality, repr and pickling cover the four fields; the resume state
-    of a partial table is rebuilt when it is needed.
+    Equality and repr cover the four fields; the resume state of a
+    partial table is rebuilt when it is needed.
     """
 
     goal: int
@@ -129,9 +129,6 @@ class HeuristicTable:
     _marks: bytearray | None = field(default=None, init=False, repr=False, compare=False)
     # Whether the table holds more than its cache entry (store_heuristics).
     _unsaved: bool = field(default=True, init=False, repr=False, compare=False)
-
-    def __reduce__(self):
-        return HeuristicTable, (self.goal, self.h1, self.h2, self.complete)
 
     def settle(self, v: int) -> bool:
         """Grow the table until ``v`` is published or the table is complete.
@@ -240,14 +237,15 @@ class HeuristicTable:
         self._marks = marks
 
 
-def validate_query(g: BiGraph, h: HeuristicTable, start: int, goal: int) -> None:
-    """Raise ValueError unless ``start``/``goal`` lie in ``g`` and ``h`` fits both."""
+def validate_query(g: BiGraph, h: HeuristicTable, start: int, goal: int) -> bool:
+    """Raise ValueError unless ``g`` and ``h`` fit the query; return ``h.settle(start)``."""
     check_endpoints(g, start, goal)
     n = g.vertex_count
     if h.goal != goal:
         raise ValueError(f"heuristic table was built for goal {h.goal}, not {goal}")
     if len(h.h1) != n or len(h.h2) != n:
         raise ValueError("heuristic table size does not match the graph")
+    return h.settle(start)
 
 
 def compute_heuristics(g: BiGraph, goal: int, start: int | None = None) -> HeuristicTable:

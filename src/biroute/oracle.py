@@ -51,9 +51,6 @@ class FrontierSet:
     def __iter__(self):
         return iter(self.costs)
 
-    def __contains__(self, cost) -> bool:
-        return CostVec(*cost) in self.costs
-
 
 def exact_frontier(
     g: BiGraph, start: int, goal: int, label_budget: int = 100_000
@@ -104,24 +101,20 @@ def exact_frontier(
 class ApproxCheckReport:
     """Outcome of validating a candidate set against an exact frontier.
 
-    ``coverage_ok`` and ``non_dominated_ok`` are the hard conditions;
-    whether each candidate is itself a member of the exact frontier is
-    reported but not judged, since approximate engines may legitimately
-    return non-frontier paths.
+    ``ok`` when no exact cost is ``uncovered`` and no candidate weakly
+    dominates another (``dominated_pairs``). ``n_members``, the candidates
+    on the exact frontier, is reported but not judged, since approximate
+    engines may legitimately return non-frontier paths.
     """
 
-    eps: ApproxFactor
-    coverage_ok: bool
     uncovered: tuple[CostVec, ...]
-    non_dominated_ok: bool
     dominated_pairs: tuple[tuple[CostVec, CostVec], ...]
     n_candidates: int
     n_members: int
-    non_members: tuple[CostVec, ...]
 
     @property
     def ok(self) -> bool:
-        return self.coverage_ok and self.non_dominated_ok
+        return not (self.uncovered or self.dominated_pairs)
 
 
 def check_approx_frontier(
@@ -150,18 +143,15 @@ def check_approx_frontier(
         for other in candidates[:i]:
             if other[0] <= v1 and other[1] <= v2:
                 dominated.append((victim, other))
-    members = set(exact.costs)
-    non_members = [c for c in candidates if c not in members]
     return ApproxCheckReport(
-        eps=eps,
-        coverage_ok=not uncovered,
         uncovered=tuple(uncovered),
-        non_dominated_ok=not dominated,
         dominated_pairs=tuple(dominated),
         n_candidates=len(candidates),
-        n_members=len(candidates) - len(non_members),
-        non_members=tuple(non_members),
+        n_members=len(set(exact.costs).intersection(candidates)),
     )
+
+
+INSTANCE_DRAWS = 200
 
 
 def random_instance(
@@ -169,7 +159,6 @@ def random_instance(
     n_max: int = 50,
     out_degree_max: int = 4,
     cost_max: int = 10,
-    retry_budget: int = 200,
 ) -> tuple[BiGraph, int, int]:
     """A seeded random digraph plus a reachable (start, goal) query.
 
@@ -177,7 +166,7 @@ def random_instance(
     from [1, n_max]; each vertex gets up to out_degree_max arcs to uniform
     targets (self loops and parallel arcs allowed) with costs in
     [1, cost_max]. Endpoints are re-drawn until the goal is reachable from
-    the start, raising GenerationError once the retry budget is spent.
+    the start, raising GenerationError after ``INSTANCE_DRAWS`` draws.
     """
     if n_max < 1 or out_degree_max < 0 or cost_max < 1:
         raise ValueError("n_max and cost_max must be >= 1, out_degree_max >= 0")
@@ -190,13 +179,13 @@ def random_instance(
                 (u, rng.randrange(n), rng.randint(1, cost_max), rng.randint(1, cost_max))
             )
     g = bigraph_from_arcs(n, arcs)
-    for _ in range(retry_budget):
+    for _ in range(INSTANCE_DRAWS):
         start = rng.randrange(n)
         goal = rng.randrange(n)
         if _reaches(g, start, goal):
             return g, start, goal
     raise GenerationError(
-        f"no reachable (start, goal) pair found in {retry_budget} draws (seed {seed})"
+        f"no reachable (start, goal) pair found in {INSTANCE_DRAWS} draws (seed {seed})"
     )
 
 

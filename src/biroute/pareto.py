@@ -36,6 +36,9 @@ class ApproxFactor:
             raise ValueError(f"approximation factors must be finite: {self}")
         if self.eps1 < 0 or self.eps2 < 0:
             raise ValueError(f"approximation factors must be nonnegative: {self}")
+        # -0.0 passes as zero but would print as "-0.0"; keep +0.0.
+        object.__setattr__(self, "eps1", abs(self.eps1))
+        object.__setattr__(self, "eps2", abs(self.eps2))
 
     @classmethod
     def uniform(cls, eps: float) -> "ApproxFactor":

@@ -117,16 +117,15 @@ def ppa_search(
 ) -> SearchResult:
     """Compute an (eps1, eps2)-approximate Pareto frontier via path pairs.
 
-    ``h`` must be the heuristic table computed for ``goal``. The result's
-    ``pairs`` field keeps the stored solution pairs; ``solutions`` holds
-    the projected paths described in the module docstring. With zero slack
-    the returned costs are exactly the Pareto-optimal ones.
+    ``h`` must be the heuristic table computed for ``goal``; a start that
+    cannot reach it (``validate_query``) yields an empty result. ``pairs``
+    keeps the stored solution pairs, ``solutions`` the projected paths of
+    the module docstring. Zero slack returns exactly the Pareto-optimal costs.
     """
-    validate_query(g, h, start, goal)
     result = SearchResult()
-    h1, h2 = h.h1, h.h2
-    if h1[start] == UNREACHABLE and not h.settle(start):
+    if not validate_query(g, h, start, goal):
         return result
+    h1, h2 = h.h1, h.h2
     complete = h.complete  # a partial table settles the vertices it lacks
     (n1, d1), ratio2 = eps.ratios
     n2, d2 = ratio2

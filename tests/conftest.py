@@ -127,11 +127,10 @@ def reference_boa_search(g, h, start, goal, eps=EXACT):
     be a complete table. The engine, which compares f2 with an integer cut,
     must match it in every counter, arena record, solution and cost.
     """
-    validate_query(g, h, start, goal)
     result = SearchResult()
-    h1, h2 = h.h1, h.h2
-    if h1[start] == UNREACHABLE:
+    if not validate_query(g, h, start, goal):
         return result
+    h1, h2 = h.h1, h.h2
     num, den = eps.ratios[1]
     m = den + num
     edges = g.edges
@@ -254,11 +253,10 @@ def reference_ppa_search(g, h, start, goal, eps=EXACT):
     placement goes through the spec above. The engine must match it in
     every counter, arena record, stored pair and cost.
     """
-    validate_query(g, h, start, goal)
     result = SearchResult()
-    h1, h2 = h.h1, h.h2
-    if h1[start] == UNREACHABLE:
+    if not validate_query(g, h, start, goal):
         return result
+    h1, h2 = h.h1, h.h2
     num, den = eps.ratios[1]
     m = den + num
     edges = g.edges

@@ -543,6 +543,29 @@ class TestVerifyCommand:
         assert "instances checked: 2/2" in out
 
 
+class TestNegativeZeroSlack:
+    def test_every_command_echoes_zero(self, capsys, g1_files):
+        # "-0" parses to the double -0.0, which would print as "-0.0" or
+        # "-0": a label that reads as a slack other than 0, and a repro
+        # argument that argparse would take for an option.
+        doc = solve_json(capsys, g1_files, "--eps=-0")
+        assert (repr(doc["eps1"]), repr(doc["eps2"])) == ("0.0", "0.0")
+
+        code, out, err = run_cli(capsys, "verify", "--instances", "3", "--eps-grid=-0")
+        assert code == EXIT_OK, err
+        cells = [line for line in out.splitlines() if line.startswith("eps=")]
+        assert cells == ["eps=(0,0) boa_eps: 3/3 passed", "eps=(0,0) ppa: 3/3 passed"]
+
+        p1, p2 = g1_files
+        code, out, err = run_cli(
+            capsys, "bench", "--gr1", str(p1), "--gr2", str(p2),
+            "--queries", "2", "--eps-grid=-0", "--algs", "boa-eps,ppa",
+        )
+        assert code == EXIT_OK, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all((r["eps1"], r["eps2"]) == ("0", "0") for r in rows)
+
+
 class TestLibraryBench:
     def test_render_csv_column_order(self):
         g, _, _ = random_instance(3, n_max=12)

@@ -537,15 +537,36 @@ class TestPartialTables:
                 grown += published(tables[2]) > other_published
         assert grown > 0
 
-    def test_pickle_keeps_only_the_published_table(self, g1):
+    def test_engines_from_a_start_the_build_did_not_settle(self, partial_queries):
+        # The table is built for another start; the engine must settle its
+        # own start first, or return nothing if that start cannot reach the
+        # goal.
+        rng = random.Random(7)
+        reachable = unreachable = 0
+        for g, s, t in partial_queries:
+            h = compute_heuristics(g, t, s)
+            unsettled = [v for v, d in enumerate(h.h1) if d == UNREACHABLE]
+            if h.complete or not unsettled:
+                continue
+            v = rng.choice(unsettled)
+            complete = compute_heuristics(g, t)
+            for engine in (boa_search, ppa_search):
+                got = engine_outputs(engine(g, compute_heuristics(g, t, s), v, t))
+                if complete.h1[v] == UNREACHABLE:
+                    unreachable += 1
+                    assert got == ((0, 0, 0), [], [], [], [])
+                else:
+                    reachable += 1
+                    assert got == engine_outputs(engine(g, complete, v, t))
+        assert reachable > 0 and unreachable > 0
+
+    def test_partial_table_without_its_graph_cannot_grow(self, g1):
         h = compute_heuristics(g1, 3, 1)
         assert not h.complete
-        loaded = pickle.loads(pickle.dumps(h))
-        assert loaded == h and "_fronts" not in repr(loaded)
-        # Without its graph, a loaded partial table cannot grow.
-        unsettled = loaded.h1.index(UNREACHABLE)
+        bare = HeuristicTable(h.goal, h.h1, h.h2, complete=False)
+        unsettled = bare.h1.index(UNREACHABLE)
         with pytest.raises(ValueError):
-            loaded.settle(unsettled)
+            bare.settle(unsettled)
 
     def test_start_out_of_range(self, g1, tmp_path):
         for start in (-1, 4):

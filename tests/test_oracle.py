@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import biroute.oracle as oracle
 from biroute import (
     EXACT,
     ApproxFactor,
@@ -164,23 +165,23 @@ class TestRandomInstance:
                     assert 1 <= e.cost.c1 <= 10
                     assert 1 <= e.cost.c2 <= 10
 
-    def test_generation_gives_up_eventually(self):
+    def test_generation_gives_up_eventually(self, monkeypatch):
         # Edgeless multi-vertex draws can never connect distinct endpoints.
-        with pytest.raises(GenerationError):
-            random_instance(0, n_max=30, out_degree_max=0, retry_budget=3)
+        monkeypatch.setattr(oracle, "INSTANCE_DRAWS", 3)
+        with pytest.raises(GenerationError, match="in 3 draws"):
+            random_instance(0, n_max=30, out_degree_max=0)
 
 
 class TestChecker:
     def test_coverage_accepts_wide_slack(self):
         exact = FrontierSet.from_costs([CostVec(2, 8), CostVec(8, 2)])
         report = check_approx_frontier([CostVec(2, 8)], exact, ApproxFactor(3, 3))
-        assert report.coverage_ok and report.non_dominated_ok and report.ok
+        assert report.uncovered == report.dominated_pairs == () and report.ok
 
     def test_coverage_rejects_at_zero_slack(self):
         exact = FrontierSet.from_costs([CostVec(2, 8), CostVec(8, 2)])
         report = check_approx_frontier([CostVec(2, 8)], exact, EXACT)
-        assert not report.coverage_ok
-        assert CostVec(8, 2) in report.uncovered
+        assert report.uncovered == (CostVec(8, 2),)
         assert not report.ok
 
     def test_dominated_candidates_rejected(self):
@@ -188,9 +189,9 @@ class TestChecker:
         report = check_approx_frontier(
             [CostVec(2, 8), CostVec(3, 9)], exact, ApproxFactor(1, 1)
         )
-        assert report.coverage_ok
-        assert not report.non_dominated_ok
-        assert (CostVec(3, 9), CostVec(2, 8)) in report.dominated_pairs
+        assert report.uncovered == ()
+        assert report.dominated_pairs == ((CostVec(3, 9), CostVec(2, 8)),)
+        assert not report.ok
 
     def test_membership_is_reported_not_enforced(self):
         # (3,7) is not an exact frontier cost, yet coverage and mutual
@@ -198,7 +199,7 @@ class TestChecker:
         exact = FrontierSet.from_costs([CostVec(2, 8)])
         report = check_approx_frontier([CostVec(3, 7)], exact, ApproxFactor(1, 1))
         assert report.ok
-        assert report.non_members == (CostVec(3, 7),)
+        assert (report.n_candidates, report.n_members) == (1, 0)
 
     def test_duplicate_candidates_collapse(self):
         exact = FrontierSet.from_costs([CostVec(2, 8)])
@@ -206,7 +207,7 @@ class TestChecker:
             [CostVec(2, 8), CostVec(2, 8)], exact, EXACT
         )
         assert report.ok
-        assert report.n_candidates == 1
+        assert (report.n_candidates, report.n_members) == (1, 1)
 
     def test_empty_candidates_fail_on_nonempty_exact(self):
         exact = FrontierSet.from_costs([CostVec(2, 8)])

@@ -98,6 +98,11 @@ class TestDominance:
             ApproxFactor(-0.1, 0)
         assert ApproxFactor.uniform(0.25) == ApproxFactor(0.25, 0.25)
 
+    def test_negative_zero_factor_is_stored_as_zero(self):
+        eps = ApproxFactor.uniform(-0.0)
+        assert math.copysign(1, eps.eps1) == math.copysign(1, eps.eps2) == 1
+        assert repr(eps) == repr(EXACT)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_factor_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
