@@ -35,7 +35,7 @@ from .oracle import (
     exact_frontier,
     random_instance,
 )
-from .pareto import EXACT, ApproxFactor, SearchResult
+from .pareto import EXACT, ApproxFactor, SearchResult, slack_label
 from .ppa import ppa_search
 
 
@@ -75,8 +75,8 @@ class QueryReport:
                 str(self.source),
                 str(self.target),
                 self.algorithm,
-                f"{self.eps1:g}",
-                f"{self.eps2:g}",
+                slack_label(self.eps1),
+                slack_label(self.eps2),
                 *(str(n) if isinstance(n, int) else f"{n:.6g}" for n in counts),
                 f"{self.time_ms:.3f}",
                 f"{self.heuristic_ms:.3f}",
@@ -103,7 +103,10 @@ def run_engine(
     """
     if algorithm == "boa":
         if eps.eps1 or eps.eps2:
-            raise ValueError(f"boa is exact; use boa_eps at slack ({eps.eps1:g}, {eps.eps2:g})")
+            raise ValueError(
+                f"boa is exact; use boa_eps at slack "
+                f"({slack_label(eps.eps1)}, {slack_label(eps.eps2)})"
+            )
         return boa_search(g, h, start, goal, eps)
     if algorithm == "boa_eps":
         return boa_search(g, h, start, goal, eps)
@@ -322,7 +325,7 @@ def verify_run(
                     cell.failed += 1
                     summary.failures.append((instance_seed, eps, (
                         f"seed {instance_seed} ({start + 1}->{goal + 1}) "
-                        f"{algorithm} eps=({eps.eps1:g},{eps.eps2:g}): "
+                        f"{algorithm} eps=({slack_label(eps.eps1)},{slack_label(eps.eps2)}): "
                         f"uncovered={list(report.uncovered)} "
                         f"dominated={list(report.dominated_pairs)}"
                     )))

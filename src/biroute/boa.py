@@ -14,10 +14,10 @@ f2 * (1 + eps2) reaches the goal's record, so provably-covered paths are
 dropped early and the returned set shrinks toward a single solution as
 the slack grows. The record changes only when a goal path is expanded;
 that expansion sets ``cut = goal_cut(g2, ratio)``, the least int f2 that
-the relaxed test drops, exactly in integers from eps2's ``(num, den)`` in
-``ApproxFactor.ratios``, at any finite slack. Every other goal-bound test
-is then one int compare, ``f2 >= cut``, and the engine does no float
-slack arithmetic.
+the relaxed test drops, exactly in integers from eps2's decimal as the
+``(num, den)`` of ``ApproxFactor.ratios``, at any finite slack. Every
+other goal-bound test is then one int compare, ``f2 >= cut``, and the
+engine does no float slack arithmetic.
 """
 
 from __future__ import annotations

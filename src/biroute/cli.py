@@ -18,7 +18,7 @@ from functools import partial
 from .bench import bench_run, render_csv, solve_query, verify_run
 from .graph import ArcMismatchError, BiGraph, DimacsParseError, load_bigraph
 from .oracle import GenerationError
-from .pareto import ApproxFactor
+from .pareto import ApproxFactor, slack_label
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -227,7 +227,8 @@ def cmd_verify(parser: _Parser, args) -> int:
     )
     for (algorithm, eps1, eps2), cell in sorted(summary.cells.items()):
         total = cell.passed + cell.failed
-        print(f"eps=({eps1:g},{eps2:g}) {algorithm}: {cell.passed}/{total} passed")
+        slack = f"{slack_label(eps1)},{slack_label(eps2)}"
+        print(f"eps=({slack}) {algorithm}: {cell.passed}/{total} passed")
     if summary.candidate_costs:
         share = 100.0 * summary.member_costs / summary.candidate_costs
         print(

@@ -3,13 +3,15 @@
 Costs are nonnegative integers, so all exact comparisons stay in integer
 arithmetic. Approximate comparisons follow the convention that a factor
 ``eps`` relaxes the right-hand side multiplicatively: ``x`` approximately
-dominates ``y`` componentwise when ``x <= (1 + eps) * y``. A float slack
-is a dyadic rational, so ``ApproxFactor`` also holds it as the exact
-integer ratio ``num / den`` (``float.as_integer_ratio()``; zero is
-``(0, 1)``), and every slack test in the package runs in integers on
-those ratios: ``approx_dominates`` tests ``x * den <= y * (den + num)``,
-the engines' goal-bound prune compares an int f2 with ``goal_cut`` of the
-goal's second cost, and PP-A*'s merge tests compare costs with the same
+dominates ``y`` componentwise when ``x <= (1 + eps) * y``. A slack means
+the decimal it prints as (``slack_label``: the shortest decimal that reads
+back as the same float), so ``0.3`` is 3/10 and ``0.01`` is 1/100, not
+their doubles' binary fractions. ``ApproxFactor`` holds that decimal as
+the exact integer ratio ``num / den`` (zero is ``(0, 1)``), and every
+slack test in the package runs in integers on those ratios:
+``approx_dominates`` tests ``x * den <= y * (den + num)``, the engines'
+goal-bound prune compares an int f2 with ``goal_cut`` of the goal's
+second cost, and PP-A*'s merge tests compare costs with the same
 products. Each is exact at every slack and every cost, above 2**53
 included.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -46,11 +49,27 @@ class ApproxFactor:
 
     @cached_property
     def ratios(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The slack as exact ``(num, den)`` pairs, one per criterion."""
-        return self.eps1.as_integer_ratio(), self.eps2.as_integer_ratio()
+        """Each criterion's slack as the exact ``(num, den)`` of its label.
+
+        ``0.01`` is ``(1, 100)`` and ``1e-20`` is ``(1, 10**20)``: the decimal
+        the slack prints as, which is the value the reports show.
+        """
+        return tuple(
+            Fraction(slack_label(e)).as_integer_ratio() for e in (self.eps1, self.eps2)
+        )
 
 
 EXACT = ApproxFactor(0.0, 0.0)
+
+
+def slack_label(eps: float) -> str:
+    """``eps`` as text, without a trailing ``.0``.
+
+    A float prints as the shortest decimal that reads back as it; an int or
+    a ``Fraction`` prints exactly.
+    """
+    text = str(eps)
+    return text[:-2] if text.endswith(".0") else text
 
 
 def approx_dominates(p: CostVec, q: CostVec, eps: ApproxFactor) -> bool:

@@ -19,9 +19,11 @@ when that path's g2 is no better than the record at the pair's vertex.
 As in the single-path engine, the goal test is one int compare with
 ``cut``, set by ``goal_cut`` from eps2's exact ratio at each goal
 expansion. The merge tests below are exact in integers too: with
-``(n, d)`` a criterion's ratio from ``ApproxFactor.ratios`` and
-``m = d + n``, ``x <= (1 + eps) * y`` is ``x * d <= y * m``, and for an int
-``x`` it is ``x <= y * m // d``.
+``(n, d)`` a criterion's slack as the exact ratio of its decimal
+(``ApproxFactor.ratios``; 0.01 is ``(1, 100)``) and ``m = d + n``,
+``x <= (1 + eps) * y`` is ``x * d <= y * m``, and for an int ``x`` it is
+``x <= y * m // d``. Decimal slacks keep ``d`` small, so each product is a
+small int.
 
 Inside the search loop a pair is one flat tuple record (layout below)
 that sits directly in the heap and in its vertex bucket; it is the only

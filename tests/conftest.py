@@ -93,8 +93,8 @@ def anticorrelated_grid(side, rng):
     return bigraph_from_arcs(side * side, arcs)
 
 
-# The slacks both engines are held to their reference loops at. The double
-# 0.3 lies below 3/10, the others' doubles lie above or on their decimals.
+# The slacks both engines are held to their reference loops at. Each runs
+# at its decimal; the doubles of 0.01 and 0.3 lie above and below theirs.
 REFERENCE_SLACKS = [(0, 0), (0.01, 0.01), (0.3, 0.3), (0.5, 0.5), (1, 1), (0, 0.5), (1, 0)]
 
 

@@ -310,8 +310,9 @@ def test_huge_slack_keeps_reachable_answers():
 
 
 def test_ppa_covers_at_a_slack_below_its_decimal():
-    # The double 0.3 lies below 3/10. At seed 896 a merge test computed in
-    # doubles stored a pair out of that slack, leaving (20, 32) uncovered.
+    # At seed 896 a merge test computed in doubles once stored a pair out of
+    # slack 0.3, leaving (20, 32) uncovered. The slack is now 3/10 exactly,
+    # and both engines must cover the frontier within it.
     summary = verify_run(1, 896, (ApproxFactor.uniform(0.3),), cost_max=20)
     check(
         "at slack 0.3 and costs up to 20 both engines cover the frontier of seed 896",

@@ -16,6 +16,7 @@ from biroute import (
     CostVec,
     QueryReport,
     bench_run,
+    bigraph_from_arcs,
     compute_heuristics,
     ppa_search,
     random_instance,
@@ -75,6 +76,20 @@ class TestSolve:
     def test_tiny_eps_is_used_as_typed(self, capsys, g1_files):
         doc = solve_json(capsys, g1_files, "--alg", "ppa", "--eps", "0.0000004")
         assert (doc["eps1"], doc["eps2"]) == (4e-07, 4e-07)
+
+    def test_slack_is_the_decimal_typed(self, capsys, tmp_path):
+        # 13 is exactly 3/10 above 10, so at --eps 0.3 the two parallel arcs
+        # merge and one cost covers both.
+        files = (tmp_path / "pair.c1.gr", tmp_path / "pair.c2.gr")
+        write_gr_pair(bigraph_from_arcs(2, [(0, 1, 10, 13), (0, 1, 13, 10)]), *files)
+        code, out, err = run_cli(
+            capsys, "solve", "--gr1", str(files[0]), "--gr2", str(files[1]),
+            "--source", "1", "--target", "2", "--eps", "0.3",
+        )
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        assert doc["solution_costs"] == [[13, 10]]
+        assert (doc["eps1"], doc["eps2"]) == (0.3, 0.3)
 
     def test_unwritable_h_cache_still_answers(self, capsys, g1_files, tmp_path):
         blocker = tmp_path / "blocker"
@@ -566,6 +581,31 @@ class TestNegativeZeroSlack:
         assert rows and all((r["eps1"], r["eps2"]) == ("0", "0") for r in rows)
 
 
+class TestSlackLabels:
+    def test_every_command_labels_the_slack_that_ran(self, capsys, g1_files):
+        # Six significant digits would label this slack 0.0123457, a slack
+        # that did not run.
+        typed = "0.0123456789"
+        doc = solve_json(capsys, g1_files, "--eps", typed)
+        assert (doc["eps1"], doc["eps2"]) == (0.0123456789, 0.0123456789)
+
+        code, out, err = run_cli(capsys, "verify", "--instances", "3", "--eps-grid", typed)
+        assert code == EXIT_OK, err
+        cells = [line for line in out.splitlines() if line.startswith("eps=")]
+        assert cells == [f"eps=({typed},{typed}) boa_eps: 3/3 passed",
+                         f"eps=({typed},{typed}) ppa: 3/3 passed"]
+
+        p1, p2 = g1_files
+        code, out, err = run_cli(
+            capsys, "bench", "--gr1", str(p1), "--gr2", str(p2),
+            "--queries", "2", "--eps-grid", typed, "--algs", "ppa",
+        )
+        assert code == EXIT_OK, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 5  # two queries, then avg, min and max
+        assert all((r["eps1"], r["eps2"]) == (typed, typed) for r in rows)
+
+
 class TestLibraryBench:
     def test_render_csv_column_order(self):
         g, _, _ = random_instance(3, n_max=12)
@@ -606,6 +646,8 @@ class TestLibraryBench:
         for eps in (ApproxFactor(0.5, 0.5), ApproxFactor(0.0, 1e-20), ApproxFactor(0.1, 0.0)):
             with pytest.raises(ValueError, match="boa is exact"):
                 run_engine(g1, h, 0, 3, "boa", eps)
+        with pytest.raises(ValueError, match=r"at slack \(0, 0\.0123456789\)$"):
+            run_engine(g1, h, 0, 3, "boa", ApproxFactor(0.0, 0.0123456789))
 
     def test_summary_rows_print_large_counts_exactly(self):
         def report(query_id, n_expanded):

@@ -220,32 +220,64 @@ class TestChecker:
         assert report.ok
 
 
-# Small costs, where zero-cost arcs and a slack whose double lies below its
-# decimal (0.3) matter, or costs just above 2**53, where doubles are 2 apart.
+# Small costs, where zero-cost arcs matter, or costs just above 2**53,
+# where doubles are 2 apart.
 COST_FAMILIES = (st.integers(0, 20), st.integers(2**53, 2**53 + 8))
 PROPERTY_SLACKS = [
     ApproxFactor(eps1, eps2)
     for eps1 in (0.0, 1e-20, 0.01, 0.3, 1.0)
     for eps2 in (0.0, 1e-20, 0.01, 0.3, 1.0)
 ]
+# Each slack of PROPERTY_SLACKS as its exact (num, den).
+SLACK_RATIOS = sorted({ratio for eps in PROPERTY_SLACKS for ratio in eps.ratios})
+
+
+@st.composite
+def boundary_arcs(draw, start, goal):
+    """Parallel start-goal arcs (y, x) and (x, y), with x at a slack's edge.
+
+    x is the largest cost within one of PROPERTY_SLACKS of y, or one unit
+    past it. Above 2**53 a slack test in doubles rounds x, and often takes
+    the one past for the edge.
+    """
+    num, den = draw(st.sampled_from(SLACK_RATIOS))
+    y = draw(st.integers(0, 20) | st.integers(2**53, 2**60))
+    x = y * (den + num) // den + draw(st.integers(0, 1))
+    return [(start, goal, y, x), (start, goal, x, y)]
 
 
 @st.composite
 def tiny_multigraphs(draw):
-    """A 2-5 vertex graph, parallel arcs and self loops allowed, and a query."""
+    """A 2-5 vertex graph, parallel arcs and self loops allowed, and a query.
+
+    Half the queries with distinct endpoints also get ``boundary_arcs``.
+    """
     n = draw(st.integers(2, 5))
     vertex = st.integers(0, n - 1)
     cost = draw(st.sampled_from(COST_FAMILIES))
     arcs = draw(st.lists(st.tuples(vertex, vertex, cost, cost), max_size=4 * n))
-    return bigraph_from_arcs(n, arcs), draw(vertex), draw(vertex)
+    start, goal = draw(vertex), draw(vertex)
+    if start != goal and draw(st.booleans()):
+        arcs += draw(boundary_arcs(start, goal))
+    return bigraph_from_arcs(n, arcs), start, goal
 
 
 class TestEnginesOnTinyMultigraphs:
-    # Random graphs reach a rounded slack test only rarely, so the two
-    # smallest graphs on which one failed are always checked too.
+    # The smallest graphs on which a rounded slack test failed are always
+    # checked too: one unit past 3/10 above 10**16, where a merge test in
+    # doubles merges, and 2**53 + 3 against 2**53 + 4, where one at 1e-20
+    # does.
     @settings(max_examples=300, deadline=None)
     @given(tiny_multigraphs())
-    @example((bigraph_from_arcs(2, [(0, 1, 10, 13), (0, 1, 13, 10)]), 0, 1))
+    @example(
+        (
+            bigraph_from_arcs(
+                2, [(0, 1, 10**16, 13 * 10**15 + 1), (0, 1, 13 * 10**15 + 1, 10**16)]
+            ),
+            0,
+            1,
+        )
+    )
     @example(
         (bigraph_from_arcs(2, [(0, 1, 2**53 + 3, 2**53 + 4), (0, 1, 2**53 + 4, 2**53 + 3)]), 0, 1)
     )

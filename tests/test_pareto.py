@@ -20,12 +20,12 @@ from biroute import (
     ppa_search,
     random_instance,
 )
-from biroute.pareto import goal_cut
+from biroute.pareto import goal_cut, slack_label
 from conftest import _first_fit, _place, apex, is_bounded, pair_record, record_corners
 
 costs = st.tuples(st.integers(0, 40), st.integers(0, 40)).map(lambda t: CostVec(*t))
 slacks = st.sampled_from([0.0, 0.01, 0.1, 0.25, 0.5, 1.0, 3.0])
-# Tiny, inexact in binary (0.01, 0.3), exact (1) and huge slacks.
+# Tiny, decimals that no double holds (0.01, 0.3), exact (1) and huge slacks.
 exact_slacks = st.sampled_from([0.0, 1e-20, 0.01, 0.3, 1.0, 1e308])
 wide_costs = st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)).map(
     lambda t: CostVec(*t)
@@ -59,6 +59,13 @@ class TestDominance:
     def test_approx_boundary_is_inclusive(self):
         assert approx_dominates(CostVec(11, 1), CostVec(10, 1), ApproxFactor(0.1, 0))
 
+    def test_slack_is_its_decimal(self):
+        # The double 0.3 lies just below 3/10, but the slack is the decimal:
+        # 13 is within 3/10 of 10, and 14 is not.
+        assert approx_dominates(CostVec(13, 10), CostVec(10, 10), ApproxFactor(0.3, 0))
+        assert not approx_dominates(CostVec(14, 10), CostVec(10, 10), ApproxFactor(0.3, 0))
+        assert approx_dominates(CostVec(0, 101), CostVec(0, 100), ApproxFactor(0, 0.01))
+
     def test_zero_factor_stays_exact_above_2_53(self):
         # float(B + 3) rounds to B + 4, so a float zero slack would let
         # B + 4 pass for B + 3.
@@ -79,7 +86,7 @@ class TestDominance:
     @given(wide_costs, wide_costs, exact_slacks, exact_slacks)
     def test_matches_exact_rationals(self, p, q, e1, e2):
         eps = ApproxFactor(e1, e2)
-        f1, f2 = 1 + Fraction(e1), 1 + Fraction(e2)
+        f1, f2 = 1 + Fraction(str(e1)), 1 + Fraction(str(e2))
         want = p[0] <= q[0] * f1 and p[1] <= q[1] * f2
         assert approx_dominates(p, q, eps) == want
         # The largest cost q's relaxation covers, and one past it per axis.
@@ -127,9 +134,31 @@ class TestGoalCut:
             assert cut == bound
 
     def test_ratios_are_exact(self):
+        # Each ratio is the decimal the slack prints as, not its double.
         assert ApproxFactor(0, 0.0).ratios == ((0, 1), (0, 1))
-        assert Fraction(*ApproxFactor(0.3, 1).ratios[0]) == Fraction(0.3)
-        assert ApproxFactor(1e308, 0).ratios[0] == (int(1e308), 1)
+        assert ApproxFactor.uniform(0.01).ratios == ((1, 100), (1, 100))
+        assert ApproxFactor(0.3, 0).ratios[0] == (3, 10)
+        assert ApproxFactor(0, 1e-20).ratios[1] == (1, 10**20)
+        assert ApproxFactor(1e308, 0).ratios[0] == (10**308, 1)
+        # An int or a Fraction is used exactly, as its text reads.
+        assert ApproxFactor(2**60 + 1, Fraction(1, 3)).ratios == ((2**60 + 1, 1), (1, 3))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0, 1e308, allow_nan=False, allow_infinity=False))
+    def test_ratio_and_label_read_back_as_the_slack(self, eps):
+        label = slack_label(eps)
+        assert float(label) == eps
+        assert not label.endswith(".0")
+        (num, den), _ = ApproxFactor(eps, 0).ratios
+        assert Fraction(num, den) == Fraction(label) and num / den == eps
+
+    @pytest.mark.parametrize(
+        "eps, label",
+        [(0.0, "0"), (1.0, "1"), (0.3, "0.3"), (4e-07, "4e-07"),
+         (0.0123456789, "0.0123456789"), (1e308, "1e+308")],
+    )
+    def test_slack_labels(self, eps, label):
+        assert slack_label(eps) == label
 
 
 class TestPathPair:

@@ -291,13 +291,30 @@ class TestEdgeCases:
 
 
     def test_merge_test_is_exact_below_a_decimal_slack(self):
-        # The double 0.3 lies just below 3/10, so (1 + 0.3) * 10 is below 13
-        # exactly, while 10 + 0.3 * 10 rounds to 13.0 in doubles. The two
-        # arcs must not merge, and both costs are returned.
-        g = bigraph_from_arcs(2, [(0, 1, 10, 13), (0, 1, 13, 10)])
-        res = ppa_search(g, h_for(g, 1), 0, 1, ApproxFactor.uniform(0.3))
-        assert res.solution_costs() == [CostVec(10, 13), CostVec(13, 10)]
+        # x is one unit past 3/10 above y. Doubles are 2 apart there, and
+        # float(x) rounds to 1.3e16, which is also 10^16 * 1.3 in doubles,
+        # so a merge test in doubles takes the two arcs as within slack 0.3.
+        # Exactly they are not: they must not merge, and both costs are
+        # returned.
+        y, x = 10**16, 13 * 10**15 + 1
+        g = bigraph_from_arcs(2, [(0, 1, y, x), (0, 1, x, y)])
+        eps = ApproxFactor.uniform(0.3)
+        res = ppa_search(g, h_for(g, 1), 0, 1, eps)
+        assert res.solution_costs() == [CostVec(y, x), CostVec(x, y)]
         assert res.stats.n_merges == 0
+        assert check_approx_frontier(res.costs, exact_frontier(g, 0, 1), eps).ok
+
+    def test_costs_exactly_a_decimal_slack_apart_merge(self):
+        # 13 is exactly 3/10 above 10, so at slack 0.3 the second arc fits
+        # the first. The merged pair's bottom-right (13, 10) covers (10, 13),
+        # and BOA*-eps's goal cut drops (13, 10) as covered by (10, 13).
+        g = bigraph_from_arcs(2, [(0, 1, 10, 13), (0, 1, 13, 10)])
+        eps = ApproxFactor.uniform(0.3)
+        res = ppa_search(g, h_for(g, 1), 0, 1, eps)
+        assert res.stats.n_merges == 1
+        assert res.solution_costs() == [CostVec(13, 10)]
+        assert check_approx_frontier(res.costs, exact_frontier(g, 0, 1), eps).ok
+        assert boa_search(g, h_for(g, 1), 0, 1, eps).costs == [CostVec(10, 13)]
 
     def test_merge_test_is_exact_above_2_53_at_tiny_slack(self):
         # float(2^53 + 3) is 2^53 + 4, so a float merge test takes the two
