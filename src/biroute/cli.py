@@ -1,9 +1,10 @@
 """Command-line interface: solve one query, run a benchmark, or verify.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
+Exit codes: 0 success, 1 usage error, 2 bad data (unreadable or
 inconsistent graph files, or a graph that cannot supply the requested
-queries), 3 verification failure. Vertex ids on the command line are
-1-based, as in the DIMACS files themselves.
+queries; ``main`` maps the library's errors to it for every command),
+3 verification failure. Vertex ids on the command line are 1-based, as
+in the DIMACS files themselves.
 """
 
 from __future__ import annotations
@@ -48,29 +49,30 @@ def _eps_value(text: str) -> float:
     return value
 
 
-def _eps_grid(text: str) -> tuple[float, ...]:
-    # A repeat (say "0,0.0") would run its cells twice, so keep the first.
-    parts = (_eps_value(part) for part in text.split(",") if part.strip())
-    grid = tuple(dict.fromkeys(parts))
-    if not grid:
-        raise argparse.ArgumentTypeError("no approximation factors given")
-    return grid
+def _alg_name(text: str) -> str:
+    name = text.strip()
+    if name not in _ALG_FLAGS:
+        raise argparse.ArgumentTypeError(
+            f"unknown algorithm {name!r} (choose from {', '.join(_ALG_FLAGS)})"
+        )
+    return _ALG_FLAGS[name]
 
 
-def _alg_list(text: str) -> tuple[str, ...]:
-    algs = []
-    for part in text.split(","):
-        name = part.strip()
-        if not name:
-            continue
-        if name not in _ALG_FLAGS:
-            raise argparse.ArgumentTypeError(
-                f"unknown algorithm {name!r} (choose from {', '.join(_ALG_FLAGS)})"
-            )
-        algs.append(_ALG_FLAGS[name])
-    if not algs:
-        raise argparse.ArgumentTypeError("no algorithms given")
-    return tuple(dict.fromkeys(algs))  # first appearance of each, as in _eps_grid
+def _comma_list(item, what: str):
+    """Flag type for a comma-separated list of ``item``s, each kept once."""
+
+    def parse(text: str) -> tuple:
+        # A repeat (say "0,0.0") would run its cells twice, so keep the first.
+        parts = (item(part) for part in text.split(",") if part.strip())
+        items = tuple(dict.fromkeys(parts))
+        if not items:
+            raise argparse.ArgumentTypeError(f"no {what} given")
+        return items
+
+    return parse
+
+
+_eps_grid = _comma_list(_eps_value, "approximation factors")
 
 
 def build_parser() -> _Parser:
@@ -78,7 +80,7 @@ def build_parser() -> _Parser:
         prog="biroute",
         description="Bi-criteria shortest-path frontiers on DIMACS graph pairs.",
     )
-    subparsers = parser.add_subparsers(dest="command", parser_class=_Parser)
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     solve = subparsers.add_parser("solve", help="answer one source-target query")
     solve.add_argument("--gr1", required=True, help="first-criterion .gr file")
@@ -107,7 +109,7 @@ def build_parser() -> _Parser:
         help="comma-separated uniform slacks (default 0,0.01,0.025,0.05,0.1)",
     )
     bench.add_argument(
-        "--algs", type=_alg_list, default=("boa_eps", "ppa"),
+        "--algs", type=_comma_list(_alg_name, "algorithms"), default=("boa_eps", "ppa"),
         help="comma-separated engines (default boa-eps,ppa)",
     )
     bench.add_argument("--out", help="CSV output path (default stdout)")
@@ -131,25 +133,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_graph(parser: _Parser, gr1: str, gr2: str) -> BiGraph | int:
+def _load_graph(parser: _Parser, gr1: str, gr2: str) -> BiGraph:
     try:
         return load_bigraph(gr1, gr2)
     except OSError as exc:
         parser.error(f"cannot read graph file: {exc}")
-    except (DimacsParseError, ArcMismatchError) as exc:
-        print(f"biroute: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    raise AssertionError("unreachable")
 
 
 def _resolve_eps(parser: _Parser, args) -> ApproxFactor:
-    if args.eps is not None and (args.eps1 is not None or args.eps2 is not None):
-        parser.error("--eps conflicts with --eps1/--eps2")
-    if args.eps is not None:
-        return ApproxFactor.uniform(args.eps)
-    if args.eps1 is not None or args.eps2 is not None:
+    if args.eps is None:
         return ApproxFactor(args.eps1 or 0.0, args.eps2 or 0.0)
-    return ApproxFactor.uniform(0.0)
+    if args.eps1 is not None or args.eps2 is not None:
+        parser.error("--eps conflicts with --eps1/--eps2")
+    return ApproxFactor.uniform(args.eps)
 
 
 def cmd_solve(parser: _Parser, args) -> int:
@@ -157,10 +153,7 @@ def cmd_solve(parser: _Parser, args) -> int:
     algorithm = _ALG_FLAGS[args.alg]
     if algorithm == "boa" and (eps.eps1 or eps.eps2):
         parser.error("--alg boa is exact; use boa-eps for a nonzero slack")
-    loaded = _load_graph(parser, args.gr1, args.gr2)
-    if isinstance(loaded, int):
-        return loaded
-    g = loaded
+    g = _load_graph(parser, args.gr1, args.gr2)
     for name, vid in (("source", args.source), ("target", args.target)):
         if not (1 <= vid <= g.vertex_count):
             parser.error(f"--{name} {vid} outside [1, {g.vertex_count}]")
@@ -188,18 +181,11 @@ def cmd_bench(parser: _Parser, args) -> int:
     except OSError as exc:
         parser.error(f"cannot write --out file: {exc}")
     with out as stream:
-        loaded = _load_graph(parser, args.gr1, args.gr2)
-        if isinstance(loaded, int):
-            return loaded
+        g = _load_graph(parser, args.gr1, args.gr2)
         eps_grid = tuple(ApproxFactor.uniform(e) for e in args.eps_grid)
-        try:
-            reports = bench_run(
-                loaded, args.queries, args.seed, eps_grid, args.algs,
-                h_cache_dir=args.h_cache,
-            )
-        except GenerationError as exc:
-            print(f"biroute: data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        reports = bench_run(
+            g, args.queries, args.seed, eps_grid, args.algs, h_cache_dir=args.h_cache
+        )
         stream.write(render_csv(reports))
     return EXIT_OK
 
@@ -256,10 +242,12 @@ def cmd_verify(parser: _Parser, args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.error("a subcommand is required (solve, bench, verify)")
     # Each command holds its own subparser, so errors print its usage line.
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DimacsParseError, ArcMismatchError, GenerationError) as exc:
+        print(f"biroute: data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -79,7 +79,8 @@ class BiGraph:
 
     ``edges[u]`` lists the outgoing arcs of ``u`` as ``Edge``s. Vertex ids
     are dense integers in ``[0, vertex_count)``. Parallel arcs and self
-    loops are kept as given.
+    loops are kept as given. An arc whose target leaves that range, or
+    whose cost is negative, raises ValueError.
 
     ``reverse_edges[v]`` lists the arcs entering ``v`` as plain
     ``(source, c1, c2)`` int tuples, so backward searches need no
@@ -116,6 +117,8 @@ class BiGraph:
                 # Check before indexing: a negative target would wrap.
                 if not (0 <= target < n):
                     raise ValueError(f"arc {u}->{target} leaves [0, {n})")
+                if c1 < 0 or c2 < 0:
+                    raise ValueError(f"arc {u}->{target} has a negative cost ({c1}, {c2})")
                 rev[target].append((u, c1, c2))
         self.reverse_edges = rev
 
@@ -315,7 +318,8 @@ def build_bigraph(
 def bigraph_from_arcs(n: int, arcs: Iterable[tuple[int, int, int, int]]) -> BiGraph:
     """Build a BiGraph from ``(u, v, c1, c2)`` arcs with 0-based ids.
 
-    Raises ValueError naming the arc when an endpoint lies outside ``[0, n)``.
+    Raises ValueError naming the arc when an endpoint lies outside ``[0, n)``
+    or a cost is negative.
     """
     adjacency: list[list[Edge]] = [[] for _ in range(n)]
     for u, v, c1, c2 in arcs:

@@ -385,7 +385,7 @@ class TestBench:
         for counts in per_query.values():
             assert counts[0.0] >= counts[0.5] >= counts[2.0]
 
-    def test_out_file_and_workers(self, capsys, g1_files, tmp_path):
+    def test_out_file_gets_the_csv(self, capsys, g1_files, tmp_path):
         p1, p2 = g1_files
         out_path = tmp_path / "bench.csv"
         code, out, _ = run_cli(
@@ -486,6 +486,15 @@ class TestVerifyCommand:
         cells = [line for line in out.splitlines() if line.startswith("eps=")]
         # Two slack settings x two engines.
         assert len(cells) == 4
+
+    def test_arcless_instances_verify(self, capsys):
+        # Seed 23 draws no reachable pair of distinct vertices, so its
+        # query falls back to a start that is also the goal.
+        code, out, err = run_cli(
+            capsys, "verify", "--instances", "1", "--seed", "23", "--max-degree", "0",
+        )
+        assert code == EXIT_OK, err
+        assert "instances checked: 1/1" in out
 
     def test_repeated_grid_values_run_once(self, capsys):
         code, out, err = run_cli(

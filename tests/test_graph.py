@@ -244,6 +244,15 @@ class TestValidation:
                 edges=[[], [Edge(target, CostVec(1, 1))], []],
             )
 
+    @pytest.mark.parametrize("cost", [(-1, 9), (9, -1)])
+    def test_negative_arc_cost(self, cost):
+        # A table would read h1 = -1 as UNREACHABLE, and the engines would
+        # answer [] where the oracle finds a path.
+        with pytest.raises(ValueError, match="arc 0->1 has a negative cost"):
+            bigraph_from_arcs(2, [(0, 1, *cost)])
+        with pytest.raises(ValueError, match="arc 0->1 has a negative cost"):
+            BiGraph(vertex_count=2, edges=[[Edge(1, CostVec(*cost))], []])
+
     @pytest.mark.parametrize("source", [-1, 3])
     def test_arc_source_out_of_range(self, source):
         # A negative source must not wrap around to the last vertex.
