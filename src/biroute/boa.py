@@ -18,15 +18,22 @@ the relaxed test drops, exactly in integers from eps2's decimal as the
 ``(num, den)`` of ``ApproxFactor.ratios``, at any finite slack. Every
 other goal-bound test is then one int compare, ``f2 >= cut``, and the
 engine does no float slack arithmetic.
+
+The search ends at the goal expansion that sets ``cut <= h2[start]``,
+once that solution is recorded: by consistency every queued path has
+``f2 = g2 + h2[v] >= h2[start]``, so each would fail the goal bound. At
+any slack that expansion brings the last solution, which must cover the
+least c2 of any goal path, ``h2[start]``. Popping the rest would change
+no solution and no counter.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 
-from .graph import BiGraph, CostVec
+from .graph import BiGraph, CostVec, _cost
 from .heuristics import UNREACHABLE, HeuristicTable, validate_query
-from .pareto import EXACT, ApproxFactor, SearchResult, goal_cut
+from .pareto import EXACT, ApproxFactor, SearchResult, SearchStats, goal_cut
 
 _INF = float("inf")
 
@@ -44,17 +51,19 @@ def boa_search(
     cannot reach it (``validate_query``) yields an empty result. Solutions
     come in discovery order, ascending in c1 and strictly descending in c2.
     """
-    result = SearchResult()
     if not validate_query(g, h, start, goal):
-        return result
+        return SearchResult()
     h1, h2 = h.h1, h.h2
+    floor2 = h2[start]  # the least c2 of any goal path; published by validate_query
     complete = h.complete  # a partial table settles the vertices it lacks
     ratio2 = eps.ratios[1]
     cut: float | int = _INF  # goal_cut of g2min[goal]
     edges = g.edges
     g2min: list[float | int] = [_INF] * g.vertex_count
-    arena = result.arena
+    arena: list[tuple[int, int | None]] = []
     append = arena.append
+    solutions: list[int] = []
+    costs: list[CostVec] = []
 
     # An OPEN entry is (f1, f2, seq, vertex, g1, g2). Each generated path
     # gets the next seq and the next arena slot, so seq is its arena index.
@@ -67,7 +76,7 @@ def boa_search(
         last_f2_at: list[float | int] = [_INF] * g.vertex_count
 
     while heap:
-        f1, f2, idx, u, g1, g2 = heapq.heappop(heap)
+        f1, f2, idx, u, g1, g2 = heappop(heap)
         if g2 >= g2min[u] or f2 >= cut:
             continue
         n_expanded += 1
@@ -79,8 +88,10 @@ def boa_search(
         g2min[u] = g2
         if u == goal:
             cut = goal_cut(g2, ratio2)
-            result.solutions.append(idx)
-            result.costs.append(CostVec(g1, g2))
+            solutions.append(idx)
+            costs.append(_cost((g1, g2)))
+            if cut <= floor2:  # every queued path fails the goal bound
+                break
             continue
         for target, (c1, c2) in edges[u]:
             th1 = h1[target]
@@ -94,9 +105,8 @@ def boa_search(
                 continue
             ng1 = g1 + c1
             append((target, idx))
-            heapq.heappush(heap, (ng1 + th1, nf2, seq, target, ng1, ng2))
+            heappush(heap, (ng1 + th1, nf2, seq, target, ng1, ng2))
             seq += 1
 
-    result.stats.n_expanded = n_expanded
-    result.stats.n_generated = seq  # one seq per generated path, the root's included
-    return result
+    # One seq per generated path, the root's included.
+    return SearchResult(arena, solutions, costs, SearchStats(n_expanded, seq))

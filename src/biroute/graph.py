@@ -80,7 +80,7 @@ class BiGraph:
     ``edges[u]`` lists the outgoing arcs of ``u`` as ``Edge``s. Vertex ids
     are dense integers in ``[0, vertex_count)``. Parallel arcs and self
     loops are kept as given. An arc whose target leaves that range, or
-    whose cost is negative, raises ValueError.
+    whose cost is not a nonnegative int, raises ValueError.
 
     ``reverse_edges[v]`` lists the arcs entering ``v`` as plain
     ``(source, c1, c2)`` int tuples, so backward searches need no
@@ -117,6 +117,10 @@ class BiGraph:
                 # Check before indexing: a negative target would wrap.
                 if not (0 <= target < n):
                     raise ValueError(f"arc {u}->{target} leaves [0, {n})")
+                if not (isinstance(c1, int) and isinstance(c2, int)):
+                    raise ValueError(
+                        f"arc {u}->{target} has a non-integer cost ({c1!r}, {c2!r})"
+                    )
                 if c1 < 0 or c2 < 0:
                     raise ValueError(f"arc {u}->{target} has a negative cost ({c1}, {c2})")
                 rev[target].append((u, c1, c2))
@@ -319,7 +323,7 @@ def bigraph_from_arcs(n: int, arcs: Iterable[tuple[int, int, int, int]]) -> BiGr
     """Build a BiGraph from ``(u, v, c1, c2)`` arcs with 0-based ids.
 
     Raises ValueError naming the arc when an endpoint lies outside ``[0, n)``
-    or a cost is negative.
+    or a cost is not a nonnegative int.
     """
     adjacency: list[list[Edge]] = [[] for _ in range(n)]
     for u, v, c1, c2 in arcs:

@@ -69,10 +69,19 @@ cost its pair brackets, and pruning is justified against bottom-right
 costs, so the bottom-right projection preserves the coverage guarantee at
 exactly (eps1, eps2); the top-left projection can miss it by a compounded
 factor when a pruned path is covered through a pair whose top-left sits
-at the edge of its own spread. Because bottom-right costs of distinct
-pairs can occasionally dominate one another, the projected set is reduced
-to its non-dominated subset before being returned; dropping a dominated
-member never weakens coverage.
+at the edge of its own spread. Bottom-right costs of distinct pairs can
+dominate one another, so the projection keeps only the non-dominated
+ones; dropping a dominated member never weakens coverage. A goal pair is
+expanded only when its br2 is below ``g2min[goal]``, the previous goal
+pair's br2, so br2 strictly falls across the stored pairs, and a br cost
+is dominated exactly when some later pair has a br1 no larger. One
+reverse pass keeps each pair whose br1 is strictly below every later
+pair's, and returns the kept ones in discovery order, hence ascending in
+c1.
+
+As in the single-path engine, the search ends at the goal expansion that
+sets ``cut <= h2[start]``, once its pair is recorded: every queued pair's
+apex f2 is at least ``h2[start]``, so each would fail the goal bound.
 """
 
 from __future__ import annotations
@@ -82,7 +91,7 @@ from heapq import heappop, heappush
 
 from .graph import BiGraph, _cost
 from .heuristics import UNREACHABLE, HeuristicTable, validate_query
-from .pareto import EXACT, ApproxFactor, PathPair, SearchResult, goal_cut, pareto_filter
+from .pareto import EXACT, ApproxFactor, PathPair, SearchResult, SearchStats, goal_cut
 
 _INF = float("inf")
 _pair = partial(tuple.__new__, PathPair)
@@ -124,24 +133,24 @@ def ppa_search(
     keeps the stored solution pairs, ``solutions`` the projected paths of
     the module docstring. Zero slack returns exactly the Pareto-optimal costs.
     """
-    result = SearchResult()
     if not validate_query(g, h, start, goal):
-        return result
+        return SearchResult()
     h1, h2 = h.h1, h.h2
+    floor2 = h2[start]  # the least c2 of any goal path; published by validate_query
     complete = h.complete  # a partial table settles the vertices it lacks
     (n1, d1), ratio2 = eps.ratios
     n2, d2 = ratio2
     m1, m2 = d1 + n1, d2 + n2
     cut: float | int = _INF  # goal_cut of g2min[goal]
     edges = g.edges
-    arena = result.arena
+    arena: list[tuple[int, int | None]] = []
     append = arena.append
     n = g.vertex_count
     g2min: list = [_INF] * n
     buckets: list = [None] * n
     tl1_hi: list = [0] * n  # bucket bounds; the root's (0, 0) is already in
     br2_lo: list = [0] * n
-    solutions: list[tuple] = []
+    goal_recs: list[tuple] = []
 
     append((start, None))
     rec = (h1[start], h2[start], 0, start, 0, 0, 0, 0, 0, 0)
@@ -169,7 +178,9 @@ def ppa_search(
         g2min[u] = br2
         if u == goal:
             cut = goal_cut(br2, ratio2)
-            solutions.append(rec)
+            goal_recs.append(rec)
+            if cut <= floor2:  # every queued pair fails the goal bound
+                break
             continue
         for target, (c1, c2) in edges[u]:
             th1 = h1[target]
@@ -238,17 +249,22 @@ def ppa_search(
             seq += 1
             heappush(heap, rec)
 
-    result.stats.n_expanded = n_expanded
-    result.stats.n_generated = seq  # one seq per generated pair, the root's included
-    result.stats.n_merges = n_merges
-    result.pairs = [
+    pairs = [
         _pair((goal, r[4], r[5], _cost((r[6], r[7])), _cost((r[8], r[9]))))
-        for r in solutions
+        for r in goal_recs
     ]
-    kept_costs = set(pareto_filter(p.br_cost for p in result.pairs))
-    for p in result.pairs:
-        if p.br_cost in kept_costs:
-            result.solutions.append(p.br)
-            result.costs.append(p.br_cost)
-            kept_costs.discard(p.br_cost)
-    return result
+    kept: list[PathPair] = []
+    least1: float | int = _INF  # the least br1 of the pairs after p
+    for p in reversed(pairs):
+        if p.br_cost.c1 < least1:
+            least1 = p.br_cost.c1
+            kept.append(p)
+    kept.reverse()
+    return SearchResult(
+        arena,
+        [p.br for p in kept],
+        [p.br_cost for p in kept],
+        # One seq per generated pair, the root's included.
+        SearchStats(n_expanded, seq, n_merges),
+        pairs,
+    )

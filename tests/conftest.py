@@ -14,7 +14,10 @@ Also ``reference_boa_search``, the single-path loop, and
 ``reference_queries``, the instances both engines are held to their
 reference loops on. Both reference loops test the goal bound as
 ``f2 * (den + num) >= g2min[goal] * den`` on eps2's exact ratio, where
-the engines compare f2 with ``goal_cut``.
+the engines compare f2 with ``goal_cut``. Both also drain OPEN, where the
+engines stop at their last solution, and the pair loop projects through
+``pareto_filter``, where PP-A* makes one reverse pass; equal outputs check
+both shortcuts.
 """
 
 import heapq

@@ -1,9 +1,11 @@
 """Lexicographic bi-objective A*: exact frontiers and the relaxed variant."""
 
 import random
+from heapq import heappop
 
 import pytest
 
+import biroute.boa as boa_module
 from biroute import (
     EXACT,
     ApproxFactor,
@@ -15,7 +17,7 @@ from biroute import (
     exact_frontier,
     random_instance,
 )
-from conftest import REFERENCE_SLACKS, reference_boa_search, reference_queries
+from conftest import G1_ARCS, REFERENCE_SLACKS, reference_boa_search, reference_queries
 
 
 class TestHandGraph:
@@ -150,3 +152,21 @@ class TestReferenceLoop:
             h = compute_heuristics(g, t)
             got = boa_search(g, h, s, t, eps)
             assert self.outputs(got) == self.outputs(reference_boa_search(g, h, s, t, eps))
+
+    def test_stops_at_the_c2_optimal_solution(self, monkeypatch):
+        # G1 plus s->c->g at (10, 3) per arc. When the c2-optimal (8, 2) is
+        # expanded, the direct (9, 9) arc and the path through c are still
+        # queued; its cut is h2[s] = 2, so neither could pass the goal bound.
+        g = bigraph_from_arcs(5, G1_ARCS + [(0, 4, 10, 3), (4, 3, 10, 3)])
+        heaps = []
+
+        def counting_pop(heap):
+            heaps.append(heap)
+            return heappop(heap)
+
+        monkeypatch.setattr(boa_module, "heappop", counting_pop)
+        h = compute_heuristics(g, 3)
+        got = boa_search(g, h, 0, 3)
+        assert got.costs == [CostVec(2, 8), CostVec(8, 2)]
+        assert len(heaps) == 5 and len(heaps[-1]) == 2
+        assert self.outputs(got) == self.outputs(reference_boa_search(g, h, 0, 3))

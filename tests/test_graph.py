@@ -253,6 +253,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="arc 0->1 has a negative cost"):
             BiGraph(vertex_count=2, edges=[[Edge(1, CostVec(*cost))], []])
 
+    @pytest.mark.parametrize("cost", [(1.5, 2), (2, 1.0), ("1", 2)])
+    def test_non_integer_arc_cost(self, cost):
+        # The backward Dijkstras pack distances into int heap keys, so a
+        # float cost would build a graph that crashes compute_heuristics.
+        arcs = [(0, 1, *cost), (1, 2, 1, 1), (0, 2, 3, 1)]
+        with pytest.raises(ValueError, match=r"arc 0->1 has a non-integer cost \("):
+            bigraph_from_arcs(3, arcs)
+        with pytest.raises(ValueError, match=r"arc 0->1 has a non-integer cost \("):
+            BiGraph(vertex_count=3, edges=[[Edge(1, CostVec(*cost))], [], []])
+
     @pytest.mark.parametrize("source", [-1, 3])
     def test_arc_source_out_of_range(self, source):
         # A negative source must not wrap around to the last vertex.

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import biroute.ppa as ppa_module
 from biroute import (
     EXACT,
     ApproxFactor,
@@ -21,6 +22,7 @@ from biroute import (
 )
 from biroute.oracle import FrontierSet
 from conftest import (
+    G1_ARCS,
     REFERENCE_SLACKS,
     _first_fit,
     _place,
@@ -258,6 +260,24 @@ class TestReferenceLoop:
             n_merges += got.stats.n_merges
         assert n_merges > 0
 
+    def test_stops_at_the_c2_optimal_solution(self, monkeypatch):
+        # G1 plus s->c->g at (10, 3) per arc. When the c2-optimal (8, 2) is
+        # expanded, the pair through c and a stale entry of the (9, 9) arc's
+        # pair, absorbed at the goal, are still queued; its cut is h2[s] = 2.
+        g = bigraph_from_arcs(5, G1_ARCS + [(0, 4, 10, 3), (4, 3, 10, 3)])
+        heaps = []
+
+        def counting_pop(heap):
+            heaps.append(heap)
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(ppa_module, "heappop", counting_pop)
+        h = h_for(g, 3)
+        got = ppa_search(g, h, 0, 3)
+        assert got.costs == [CostVec(2, 8), CostVec(8, 2)]
+        assert len(heaps) == 5 and len(heaps[-1]) == 2
+        assert self.outputs(got) == self.outputs(reference_ppa_search(g, h, 0, 3))
+
 
 class TestEdgeCases:
     def test_start_equals_goal(self, g1):
@@ -355,18 +375,21 @@ class TestProjectionAdversaries:
         # two goal pairs survive with br costs (20,24) and (12,10), and
         # (12,10) dominates (20,24).  The returned set must not contain
         # a member dominated by another member, so (20,24) is dropped.
-        g = bigraph_from_arcs(
-            2, [(0, 1, 10, 46), (0, 1, 20, 24), (0, 1, 11, 20), (0, 1, 12, 10)]
-        )
+        # With (12,24) in place of (20,24) the two br costs tie on c1, and
+        # the later, smaller c2 still dominates: the projection must keep a
+        # pair only when its br1 is strictly below every later pair's.
         eps = ApproxFactor(1, 1)
-        res = ppa_search(g, h_for(g, 1), 0, 1, eps)
-        raw_br = [p.br_cost for p in res.pairs]
-        assert CostVec(20, 24) in raw_br and CostVec(12, 10) in raw_br
-        assert res.solution_costs() == [CostVec(12, 10)]
-        report = check_approx_frontier(
-            res.solution_costs(), exact_frontier(g, 0, 1), eps
-        )
-        assert report.ok
+        for first_br in (CostVec(20, 24), CostVec(12, 24)):
+            g = bigraph_from_arcs(
+                2, [(0, 1, 10, 46), (0, 1, *first_br), (0, 1, 11, 20), (0, 1, 12, 10)]
+            )
+            res = ppa_search(g, h_for(g, 1), 0, 1, eps)
+            assert [p.br_cost for p in res.pairs] == [first_br, CostVec(12, 10)]
+            assert res.solution_costs() == [CostVec(12, 10)]
+            report = check_approx_frontier(
+                res.solution_costs(), exact_frontier(g, 0, 1), eps
+            )
+            assert report.ok
 
     def test_returned_costs_are_br_projections(self, g1):
         res = ppa_search(g1, h_for(g1, 3), 0, 3, ApproxFactor(3, 3))
