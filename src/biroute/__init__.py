@@ -1,9 +1,10 @@
 """Exact and approximate Pareto frontiers for bi-criteria shortest paths.
 
 Public surface: graph loading and DIMACS I/O, per-criterion heuristic
-tables, the dominance vocabulary, two search engines (single-path and
-path-pair), an independent frontier oracle with a checker, and benchmark
-plumbing. See README.md for usage.
+tables, the slack and the search result, two search engines (single-path
+and path-pair), an independent frontier oracle with a checker, and
+benchmark plumbing. Names that only tests and the engines use stay in
+their modules. See README.md for usage.
 """
 
 from .graph import (
@@ -11,13 +12,10 @@ from .graph import (
     BiGraph,
     CostVec,
     DimacsParseError,
-    Edge,
     bigraph_from_arcs,
     build_bigraph,
-    dimacs_lines,
     load_bigraph,
     load_gr,
-    parse_dimacs_gr,
     write_gr_pair,
 )
 from .heuristics import (
@@ -28,19 +26,10 @@ from .heuristics import (
     load_or_compute_heuristics,
     store_heuristics,
 )
-from .pareto import (
-    EXACT,
-    ApproxFactor,
-    PathPair,
-    SearchResult,
-    SearchStats,
-    approx_dominates,
-    pareto_filter,
-)
+from .pareto import EXACT, ApproxFactor, SearchResult
 from .boa import boa_search
 from .ppa import ppa_search
 from .oracle import (
-    ApproxCheckReport,
     FrontierSet,
     GenerationError,
     LabelBudgetError,
@@ -55,13 +44,10 @@ __all__ = [
     "BiGraph",
     "CostVec",
     "DimacsParseError",
-    "Edge",
     "bigraph_from_arcs",
     "build_bigraph",
-    "dimacs_lines",
     "load_bigraph",
     "load_gr",
-    "parse_dimacs_gr",
     "write_gr_pair",
     "UNREACHABLE",
     "HeuristicTable",
@@ -71,14 +57,9 @@ __all__ = [
     "store_heuristics",
     "EXACT",
     "ApproxFactor",
-    "PathPair",
     "SearchResult",
-    "SearchStats",
-    "approx_dominates",
-    "pareto_filter",
     "boa_search",
     "ppa_search",
-    "ApproxCheckReport",
     "FrontierSet",
     "GenerationError",
     "LabelBudgetError",

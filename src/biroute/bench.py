@@ -11,9 +11,10 @@ without a given table builds one settled through its start and at least
 60% of the vertices (see ``heuristics``): ``heuristic_ms`` covers the
 cache load or that build, plus the cache write after the search, and
 ``time_ms`` covers the search, including whatever it settles of the
-table on demand. A
-benchmark's tables are complete, and its ``heuristic_ms`` is one build
-per goal. A benchmark runs ``boa`` once per query, at zero slack.
+table on demand. A cache hit checks its entry in ``heuristic_ms`` but
+copies each entry the search reads in ``time_ms``. A benchmark's tables
+are complete, and its ``heuristic_ms`` is one build or load per goal. A
+benchmark runs ``boa`` once per query, at zero slack.
 After the data rows a benchmark appends, per (algorithm, eps1, eps2) in
 first-appearance order, three summary rows whose ``query_id`` column says
 ``avg``, ``min``, or ``max``; their endpoint and cost columns are empty.
@@ -131,7 +132,8 @@ def solve_query(
     Without ``h`` the table is loaded or built for this start, and with
     ``h_cache_dir`` stored after the search if the search grew it.
     ``heuristic_ms`` then covers the load or build and the store, and
-    ``time_ms`` the search, including any settling it asks of the table.
+    ``time_ms`` the search, including any settling it asks of the table
+    and the entries it copies from a cache hit.
     """
     store = h is None and h_cache_dir is not None
     if h is None:
@@ -145,7 +147,7 @@ def solve_query(
         t0 = time.perf_counter()
         store_heuristics(g, h, h_cache_dir)
         heuristic_ms += (time.perf_counter() - t0) * 1000.0
-    costs = result.solution_costs()
+    costs = result.costs
     report = QueryReport(
         query_id=query_id,
         source=start + 1,
@@ -313,7 +315,7 @@ def verify_run(
         for eps in eps_grid:
             for algorithm in VERIFY_ALGORITHMS:
                 result = run_engine(g, h, start, goal, algorithm, eps)
-                report = check_approx_frontier(result.solution_costs(), exact, eps)
+                report = check_approx_frontier(result.costs, exact, eps)
                 cell = summary.cells.setdefault(
                     (algorithm, eps.eps1, eps.eps2), VerifyCell()
                 )

@@ -23,12 +23,13 @@ start is among the nearer 60% of the vertices in both criteria.
 Publication rule: a vertex's ``h1`` and ``h2`` entries become distances
 together, once both components have settled it, and never change
 afterwards. Each backward search publishes a vertex as it settles it,
-if the other search has settled it already. Tentative distances (a
-private ``inf`` where none is known yet), heaps and per-component
-settled flags stay in private resume state. ``h1`` and ``h2`` are grown
-in place, because the engines bind them once per search. So every value
-an engine reads is the exact distance, whichever way the table was
-built.
+if the other search has settled it already, and a table loaded from the
+cache publishes a vertex from its entry when a search first reads it
+(below). Tentative distances (a private ``inf`` where none is known
+yet), heaps, per-component settled flags and the unread part of a loaded
+entry stay private. ``h1`` and ``h2`` are grown in place, because the
+engines bind them once per search. So every value an engine reads is the
+exact distance, whichever way the table was built.
 
 The disk cache (version 3) keeps one entry per (graph digest, goal),
 never the resume state. An entry is a flat array of int64 words in the
@@ -37,12 +38,23 @@ crc32(payload)``, then the payload, ``h1`` and then ``h2``. UNREACHABLE
 is stored as is. A load checks the length, the header, the CRC and that
 the goal's entries are 0, and reads anything else as a miss; it never
 runs code from the file. A table with a distance of 2^63 or more does
-not fit the format and is not cached. A loaded partial table that must
-grow rebuilds its frontier from the published set: each reverse arc
+not fit the format and is not cached.
+
+A hit converts nothing up front: it keeps the checked payload, starts
+``h1`` and ``h2`` all UNREACHABLE and reports ``complete = False``, so
+the engines call ``settle`` on each vertex they read as UNREACHABLE.
+``settle`` copies the vertex's two words from the payload. A payload -1
+means unreachable in a complete entry, so ``settle`` returns False, and
+not settled yet in a partial one, so the table grows. Before it grows,
+and in ``settle_all``, the table publishes the whole payload, once and
+in place. A hit that never grows holds nothing new and is not written
+back. The copying happens during the search, so ``solve_query`` counts
+it in ``time_ms``, not in ``heuristic_ms``. A loaded partial table that
+must grow rebuilds its frontier from the published set: each reverse arc
 from a published vertex into an unpublished one offers the unpublished
-vertex a tentative distance, and Dijkstra resumes from those seeds.
-This multi-source restart is exact. A shortest path to an unpublished
-vertex leaves the published set, whose entries are exact, at a first
+vertex a tentative distance, and Dijkstra resumes from those seeds. This
+multi-source restart is exact. A shortest path to an unpublished vertex
+leaves the published set, whose entries are exact, at a first
 unpublished vertex, and that vertex's seed is at most its true distance.
 """
 
@@ -111,10 +123,12 @@ class HeuristicTable:
     to ``goal``, or UNREACHABLE. Both arrays assign 0 to the goal itself.
     UNREACHABLE means that ``v`` cannot reach the goal only once the table
     is ``complete``; in a partial table it may also mean that ``v`` is not
-    settled yet, and ``settle(v)`` tells the two apart.
+    settled yet, and ``settle(v)`` tells the two apart. A table loaded
+    from the cache is partial until it has published its whole entry.
 
-    Equality and repr cover the four fields; the resume state of a
-    partial table is rebuilt when it is needed.
+    Equality and repr cover the four fields, not the resume state of a
+    partial table, which is rebuilt when it is needed, nor the unread
+    entry of a loaded one.
     """
 
     goal: int
@@ -127,22 +141,47 @@ class HeuristicTable:
     _graph: BiGraph | None = field(default=None, init=False, repr=False, compare=False)
     _fronts: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _marks: bytearray | None = field(default=None, init=False, repr=False, compare=False)
+    # A table loaded from the cache: its entry's h1 and h2 words, checked
+    # and not yet all published, and the entry's complete flag.
+    _payload: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # Whether the table holds more than its cache entry (store_heuristics).
     _unsaved: bool = field(default=True, init=False, repr=False, compare=False)
 
     def settle(self, v: int) -> bool:
-        """Grow the table until ``v`` is published or the table is complete.
+        """Publish ``v``, from the payload or by growing, unless the table is complete.
 
         Returns whether ``v`` can reach the goal.
         """
         if self.h1[v] == UNREACHABLE and not self.complete:
+            if self._payload is not None:
+                words1, words2, entry_complete = self._payload
+                d1 = words1[v]
+                if d1 != UNREACHABLE:
+                    self.h1[v] = d1
+                    self.h2[v] = words2[v]
+                    return True
+                if entry_complete:
+                    return False
             self._grow(v)
         return self.h1[v] != UNREACHABLE
 
     def settle_all(self) -> None:
-        """Grow the table until it is complete."""
+        """Publish the payload, then grow the table until it is complete."""
+        if self._payload is not None:
+            self._publish()
         if not self.complete:
             self._grow(-1)
+
+    def _publish(self) -> None:
+        """Copy the whole payload into ``h1``/``h2``, in place, and drop it.
+
+        The table is then as complete as its cache entry.
+        """
+        words1, words2, entry_complete = self._payload
+        self.h1[:] = words1.tolist()
+        self.h2[:] = words2.tolist()
+        self.complete = entry_complete
+        self._payload = None
 
     def _grow(self, stop: int, floor: int = 0) -> None:
         """Settle both components through ``stop`` (-1: to exhaustion).
@@ -206,10 +245,12 @@ class HeuristicTable:
         return settled
 
     def _restart(self) -> None:
-        """Rebuild the resume state from the published entries (module docstring)."""
+        """Publish any payload, then rebuild the resume state (module docstring)."""
         g = self._graph
         if g is None:
             raise ValueError("a partial heuristic table needs its graph to grow")
+        if self._payload is not None:
+            self._publish()
         n = g.vertex_count
         h1, h2 = self.h1, self.h2
         dist1 = [_INF if d == UNREACHABLE else d for d in h1]
@@ -317,7 +358,8 @@ def _load_entry(path: Path, g: BiGraph, goal: int) -> HeuristicTable | None:
         or payload[n + goal] != 0
     ):
         return None
-    table = HeuristicTable(goal, payload[:n].tolist(), payload[n:].tolist(), complete == 1)
+    table = HeuristicTable(goal, [UNREACHABLE] * n, [UNREACHABLE] * n, complete=False)
+    table._payload = (payload[:n], payload[n:], complete == 1)
     table._graph = g
     table._unsaved = False
     return table

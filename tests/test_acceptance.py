@@ -21,8 +21,6 @@ import pytest
 from biroute import (
     ApproxFactor,
     CostVec,
-    PathPair,
-    approx_dominates,
     bench_run,
     bigraph_from_arcs,
     boa_search,
@@ -35,6 +33,7 @@ from biroute import (
     verify_run,
 )
 from biroute.bench import sample_queries, solve_query
+from biroute.pareto import PathPair, approx_dominates
 from conftest import is_bounded
 
 N_INSTANCES = 200

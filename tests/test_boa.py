@@ -10,13 +10,13 @@ from biroute import (
     EXACT,
     ApproxFactor,
     CostVec,
-    approx_dominates,
     bigraph_from_arcs,
     boa_search,
     compute_heuristics,
     exact_frontier,
     random_instance,
 )
+from biroute.pareto import approx_dominates
 from conftest import G1_ARCS, REFERENCE_SLACKS, reference_boa_search, reference_queries
 
 

@@ -17,11 +17,10 @@ from biroute import (
     bigraph_from_arcs,
     build_bigraph,
     load_bigraph,
-    parse_dimacs_gr,
     write_gr_pair,
 )
 import biroute.graph as graph
-from biroute.graph import Edge, dimacs_lines, load_gr
+from biroute.graph import Edge, dimacs_lines, load_gr, parse_dimacs_gr
 from conftest import G1_ARCS
 
 

@@ -19,7 +19,6 @@ from biroute import (
     EXACT,
     UNREACHABLE,
     ApproxFactor,
-    Edge,
     HeuristicTable,
     bigraph_from_arcs,
     boa_search,
@@ -31,6 +30,7 @@ from biroute import (
     store_heuristics,
 )
 from biroute.bench import solve_query
+from biroute.graph import Edge
 from biroute.heuristics import _cache_path, _load_entry
 from conftest import G1_ARCS, _backward_dijkstra, anticorrelated_grid
 
@@ -203,6 +203,18 @@ def encode_entry(goal, h1, h2, complete=True, magic=MAGIC, version=3, n=None, he
     return array("q", header).tobytes() + payload
 
 
+def published_entry(path, g, goal):
+    """The table stored at ``path`` with its whole payload published, or None.
+
+    A hit publishes entries as a search reads them; ``_publish`` is the
+    step that ``settle_all`` and a restart take before they grow.
+    """
+    table = _load_entry(path, g, goal)
+    if table is not None:
+        table._publish()
+    return table
+
+
 def flip_bit(data, index):
     flipped = bytearray(data)
     flipped[index] ^= 1
@@ -232,14 +244,14 @@ class TestCache:
         (entry,) = tmp_path.iterdir()
         assert entry.name == f"h-{graph_digest(g1)}-3-v3.bin"
         assert entry.read_bytes() == encode_entry(3, G1_H1, G1_H2)
-        assert _load_entry(entry, g1, 3) == h
+        assert published_entry(entry, g1, 3) == h
 
     def test_unreachable_is_stored_as_is(self, tmp_path):
         g = bigraph_from_arcs(3, [(0, 1, 1, 1)])
         h = load_or_compute_heuristics(g, 1, cache_dir=tmp_path)
         (entry,) = tmp_path.iterdir()
         assert entry.read_bytes() == encode_entry(1, [1, 0, UNREACHABLE], [1, 0, UNREACHABLE])
-        assert _load_entry(entry, g, 1) == h
+        assert published_entry(entry, g, 1) == h
 
     @pytest.mark.parametrize(
         "content",
@@ -281,7 +293,7 @@ class TestCache:
         # The entry is rewritten in place and no temp file is left behind.
         assert list(tmp_path.iterdir()) == [entry]
         assert entry.read_bytes() == encode_entry(3, G1_H1, G1_H2)
-        assert _load_entry(entry, g1, 3) == h
+        assert published_entry(entry, g1, 3) == h
 
     def test_loading_never_unpickles(self, g1, tmp_path):
         # A shared cache directory must not be a way to run code: plant a
@@ -336,7 +348,7 @@ class TestCache:
                     assert not entry.exists()
                 else:
                     stored += 1
-                    assert _load_entry(entry, g, goal) == fresh
+                    assert published_entry(entry, g, goal) == fresh
                 assert load_or_compute_heuristics(g, goal, cache_dir=cache) == fresh
         assert stored > 0 and skipped > 0
 
@@ -607,7 +619,7 @@ class TestPartialCache:
 
     def entry(self, cache, grid):
         (path,) = cache.iterdir()
-        table = _load_entry(path, grid, grid_vertex(self.SIDE, *self.GOAL))
+        table = published_entry(path, grid, grid_vertex(self.SIDE, *self.GOAL))
         assert table is not None
         return table
 
@@ -647,3 +659,119 @@ class TestPartialCache:
         h = load_or_compute_heuristics(grid, goal, tmp_path)
         assert h.complete and h == compute_heuristics(grid, goal)
         assert self.entry(tmp_path, grid) == h
+
+    def test_lazy_hit_writes_only_what_it_grew(self, grid, tmp_path, writes):
+        # A hit publishes entries as its search reads them. One whose search
+        # reads only published entries writes nothing; one that reads past
+        # the entry writes the payload plus what it grew.
+        self.solve(grid, self.START, tmp_path)
+        (path,) = tmp_path.iterdir()
+        stored = path.read_bytes()
+        before = self.entry(tmp_path, grid)
+        goal = grid_vertex(self.SIDE, *self.GOAL)
+        writes.clear()
+        for start, grows in ((self.START, False), (self.FARTHER, True)):
+            s = grid_vertex(self.SIDE, *start)
+            h = load_or_compute_heuristics(grid, goal, tmp_path, start=s)
+            ppa_search(grid, h, s, goal)
+            store_heuristics(grid, h, tmp_path)
+            if not grows:
+                assert 0 < published(h) < published(before)
+                assert writes == [] and path.read_bytes() == stored
+                continue
+            assert len(writes) == 1
+            after = self.entry(tmp_path, grid)
+            assert after == h and published(after) > published(before)
+            assert all(
+                (after.h1[v], after.h2[v]) == (d1, before.h2[v])
+                for v, d1 in enumerate(before.h1)
+                if d1 != UNREACHABLE
+            )
+
+
+class TestLazyHit:
+    """A loaded entry publishes a vertex from its payload when a search reads it."""
+
+    def test_complete_entry_reads_unreachable_without_growing(self, tmp_path):
+        g = bigraph_from_arcs(3, [(0, 1, 1, 1)])
+        load_or_compute_heuristics(g, 1, cache_dir=tmp_path)
+        (entry,) = tmp_path.iterdir()
+        stored, inode = entry.read_bytes(), entry.stat().st_ino
+        h = _load_entry(entry, g, 1)
+        assert not h.complete and h.h1 == h.h2 == [UNREACHABLE] * 3
+        assert not h.settle(2)
+        assert h.settle(0)
+        assert h.h1 == h.h2 == [1, UNREACHABLE, UNREACHABLE]
+        assert h._fronts is None  # no backward search was resumed
+        store_heuristics(g, h, tmp_path)
+        h.settle_all()
+        assert h._fronts is None and h == compute_heuristics(g, 1)
+        store_heuristics(g, h, tmp_path)
+        # Neither store rewrote the entry: a rewrite replaces its inode.
+        assert list(tmp_path.iterdir()) == [entry]
+        assert (entry.read_bytes(), entry.stat().st_ino) == (stored, inode)
+
+    def test_engines_answer_the_same_from_a_lazy_complete_entry(self, partial_queries, tmp_path):
+        unreachable = 0
+        for g, s, t in partial_queries:
+            complete = compute_heuristics(g, t)
+            store_heuristics(g, complete, tmp_path)
+            unreachable += UNREACHABLE in complete.h1
+            for engine in (boa_search, ppa_search):
+                lazy = load_or_compute_heuristics(g, t, tmp_path, start=s)
+                assert engine_outputs(engine(g, lazy, s, t)) == engine_outputs(
+                    engine(g, complete, s, t)
+                )
+                assert lazy._fronts is None and not lazy.complete
+                for got, ref in ((lazy.h1, complete.h1), (lazy.h2, complete.h2)):
+                    assert all(d in (UNREACHABLE, r) for d, r in zip(got, ref))
+        assert unreachable > 0
+
+    def test_partial_entry_grows_from_an_unpublished_start(self, partial_queries, tmp_path):
+        rng = random.Random(8)
+        grown = 0
+        for g, s, t in partial_queries:
+            stored = compute_heuristics(g, t, s)
+            unpublished = [v for v, d in enumerate(stored.h1) if d == UNREACHABLE]
+            if stored.complete or not unpublished:
+                continue
+            store_heuristics(g, stored, tmp_path)
+            v = rng.choice(unpublished)
+            complete = compute_heuristics(g, t)
+            h = load_or_compute_heuristics(g, t, tmp_path, start=v)
+            assert h._payload is None and (published(h) > published(stored) or h.complete)
+            assert (h.h1[v], h.h2[v]) == (complete.h1[v], complete.h2[v])
+            grown += 1
+            h.settle_all()
+            assert h == complete
+        assert grown > 0
+
+    def test_restart_from_the_payload_keeps_every_published_entry(
+        self, partial_queries, tmp_path
+    ):
+        # Settling every vertex in turn, the lazy table publishes exactly
+        # what a table holding the whole entry publishes once it has
+        # restarted, and no entry changes once published.
+        rng = random.Random(9)
+        restarted = 0
+        for g, s, t in partial_queries:
+            stored = compute_heuristics(g, t, s)
+            store_heuristics(g, stored, tmp_path)
+            lazy = _load_entry(_cache_path(g, t, tmp_path), g, t)
+            whole = HeuristicTable(t, stored.h1.copy(), stored.h2.copy(), stored.complete)
+            whole._graph = g
+            order = list(range(g.vertex_count))
+            rng.shuffle(order)
+            seen = {}
+            for v in order:
+                assert lazy.settle(v) == whole.settle(v)
+                for w, d1 in enumerate(lazy.h1):
+                    if d1 != UNREACHABLE:
+                        assert (whole.h1[w], whole.h2[w]) == (d1, lazy.h2[w])
+                        assert seen.setdefault(w, (d1, lazy.h2[w])) == (d1, lazy.h2[w])
+                if lazy._payload is None:
+                    assert lazy == whole
+            restarted += lazy._payload is None and not stored.complete
+            lazy.settle_all()
+            assert lazy == compute_heuristics(g, t)
+        assert restarted > 0

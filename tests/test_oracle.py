@@ -17,11 +17,11 @@ from biroute import (
     check_approx_frontier,
     compute_heuristics,
     exact_frontier,
-    pareto_filter,
     ppa_search,
     random_instance,
 )
 from biroute.oracle import FrontierSet
+from biroute.pareto import pareto_filter
 
 
 def tiny_instance(seed):

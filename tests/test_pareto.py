@@ -11,16 +11,13 @@ from biroute import (
     EXACT,
     ApproxFactor,
     CostVec,
-    PathPair,
     SearchResult,
-    approx_dominates,
     bigraph_from_arcs,
     compute_heuristics,
-    pareto_filter,
     ppa_search,
     random_instance,
 )
-from biroute.pareto import goal_cut, slack_label
+from biroute.pareto import PathPair, approx_dominates, goal_cut, pareto_filter, slack_label
 from conftest import _first_fit, _place, apex, is_bounded, pair_record, record_corners
 
 costs = st.tuples(st.integers(0, 40), st.integers(0, 40)).map(lambda t: CostVec(*t))

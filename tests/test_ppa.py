@@ -11,7 +11,6 @@ from biroute import (
     EXACT,
     ApproxFactor,
     CostVec,
-    approx_dominates,
     bigraph_from_arcs,
     boa_search,
     check_approx_frontier,
@@ -21,6 +20,7 @@ from biroute import (
     random_instance,
 )
 from biroute.oracle import FrontierSet
+from biroute.pareto import approx_dominates
 from conftest import (
     G1_ARCS,
     REFERENCE_SLACKS,
